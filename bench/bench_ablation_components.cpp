@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
   const workload::HarnessOptions options = workload::parse_harness_flags(
       argc, argv, "ablation_components", /*default_duration_s=*/15,
       /*default_seed=*/42, {"rps"});
-  const double rps = options.flags.get_double_or("rps", 40.0);
+  const double rps = workload::double_flag_or_exit(options.flags, "rps", 40.0);
   const auto duration = sim::seconds(options.duration_s);
   const auto seed = options.seed;
 
@@ -80,28 +80,26 @@ int main(int argc, char** argv) {
   };
 
   workload::SweepRunner runner(workload::sweep_options(options));
-  std::vector<workload::ElibraryExperimentResult> outcomes(variants.size());
+  std::vector<workload::ElibraryScenarioResult> outcomes(variants.size());
   for (std::size_t i = 0; i < variants.size(); ++i) {
     const Variant& v = variants[i];
     runner.add({{"variant", v.id}},
                [&v, rps, duration, seed, i, &outcomes] {
-                 workload::ElibraryExperimentConfig config;
-                 config.ls_rps = rps;
-                 config.li_rps = rps;
-                 config.duration = duration;
-                 config.seed = seed;
-                 config.cross_layer = v.enabled;
+                 workload::ElibraryScenario scenario =
+                     workload::fig4_scenario(rps, v.enabled);
+                 scenario.duration = duration;
+                 scenario.seed = seed;
                  if (v.enabled) {
-                   auto& cc = config.cross_layer_config;
+                   core::CrossLayerConfig& cc = *scenario.cross_layer;
                    cc.priority_routing = v.routing;
                    cc.tc_priority = v.tc;
                    cc.tc_match = v.match;
                    cc.strict_tc = v.strict;
                    cc.scavenger_transport = v.scavenger;
                    cc.dscp_tagging = v.dscp;
-                   config.sdn_out_of_band = v.sdn;
+                   scenario.sdn_out_of_band = v.sdn;
                  }
-                 outcomes[i] = workload::run_elibrary_experiment(config);
+                 outcomes[i] = workload::run_elibrary_scenario(scenario);
                  return workload::elibrary_point_metrics(outcomes[i]);
                });
   }

@@ -17,6 +17,7 @@
 //   --threads=N --json-out[=PATH] --baseline=PATH --tolerance=R
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -28,13 +29,18 @@ using namespace meshnet;
 
 namespace {
 
+/// Every entry must be a whole RPS value: a typo exits 2 rather than
+/// dropping the entry (or running the default sweep).
 std::vector<double> parse_rps_list(const std::string& text) {
   std::vector<double> out;
   for (const auto part : util::split(text, ',')) {
     const auto v = util::parse_u64(util::trim(part));
-    if (v) out.push_back(static_cast<double>(*v));
+    if (!v) {
+      std::fprintf(stderr, "malformed value for --rps: '%s'\n", text.c_str());
+      std::exit(2);
+    }
+    out.push_back(static_cast<double>(*v));
   }
-  if (out.empty()) out = {10, 20, 30, 40, 50};
   return out;
 }
 
@@ -48,8 +54,9 @@ int main(int argc, char** argv) {
   const std::vector<double> rps_levels =
       parse_rps_list(flags.get_or("rps", "10,20,30,40,50"));
   const auto duration = sim::seconds(options.duration_s);
-  const auto warmup = sim::seconds(flags.get_int_or("warmup", 4));
-  const auto cooldown = sim::seconds(flags.get_int_or("cooldown", 2));
+  const std::int64_t warmup_s = workload::int_flag_or_exit(flags, "warmup", 4);
+  const std::int64_t cooldown_s =
+      workload::int_flag_or_exit(flags, "cooldown", 2);
   const auto seed = options.seed;
 
   std::printf(
@@ -61,7 +68,7 @@ int main(int argc, char** argv) {
   // One sweep point per (rps, cross_layer) pair; each runs its own
   // simulator and stores the typed result in its slot for the table.
   workload::SweepRunner runner(workload::sweep_options(options));
-  std::vector<workload::ElibraryExperimentResult> outcomes(
+  std::vector<workload::ElibraryScenarioResult> outcomes(
       rps_levels.size() * 2);
   for (std::size_t level = 0; level < rps_levels.size(); ++level) {
     const double rps = rps_levels[level];
@@ -70,17 +77,15 @@ int main(int argc, char** argv) {
       runner.add(
           {{"rps", stats::Table::num(rps, 0)},
            {"cross_layer", cross_layer ? "on" : "off"}},
-          [rps, cross_layer, duration, warmup, cooldown, seed, slot,
+          [rps, cross_layer, duration, warmup_s, cooldown_s, seed, slot,
            &outcomes] {
-            workload::ElibraryExperimentConfig config;
-            config.ls_rps = rps;
-            config.li_rps = rps;
-            config.duration = duration;
-            config.warmup = warmup;
-            config.cooldown = cooldown;
-            config.seed = seed;
-            config.cross_layer = cross_layer;
-            outcomes[slot] = workload::run_elibrary_experiment(config);
+            workload::ElibraryScenario scenario =
+                workload::fig4_scenario(rps, cross_layer);
+            scenario.duration = duration;
+            scenario.warmup = sim::seconds(warmup_s);
+            scenario.cooldown = sim::seconds(cooldown_s);
+            scenario.seed = seed;
+            outcomes[slot] = workload::run_elibrary_scenario(scenario);
             return workload::elibrary_point_metrics(outcomes[slot]);
           });
     }
@@ -95,8 +100,8 @@ int main(int argc, char** argv) {
   };
   std::vector<Row> rows;
   for (std::size_t level = 0; level < rps_levels.size(); ++level) {
-    const workload::ElibraryExperimentResult& base = outcomes[level * 2];
-    const workload::ElibraryExperimentResult& opt = outcomes[level * 2 + 1];
+    const workload::ElibraryScenarioResult& base = outcomes[level * 2];
+    const workload::ElibraryScenarioResult& opt = outcomes[level * 2 + 1];
     Row row{rps_levels[level], base.ls.p50_ms,  opt.ls.p50_ms,
             base.ls.p99_ms,    opt.ls.p99_ms,   opt.bottleneck_utilization};
     rows.push_back(row);
@@ -138,8 +143,8 @@ int main(int argc, char** argv) {
       "fig4",
       {{"seed", std::to_string(seed)},
        {"duration_s", std::to_string(options.duration_s)},
-       {"warmup_s", std::to_string(flags.get_int_or("warmup", 4))},
-       {"cooldown_s", std::to_string(flags.get_int_or("cooldown", 2))},
+       {"warmup_s", std::to_string(warmup_s)},
+       {"cooldown_s", std::to_string(cooldown_s)},
        {"rps", flags.get_or("rps", "10,20,30,40,50")}},
       sweep);
   return workload::finish_harness(report, options);

@@ -21,8 +21,8 @@ int main(int argc, char** argv) {
       argc, argv, "li_degradation", /*default_duration_s=*/15,
       /*default_seed=*/42, {"warmup"});
   const auto duration = sim::seconds(options.duration_s);
-  const auto warmup =
-      sim::seconds(options.flags.get_int_or("warmup", 4));
+  const std::int64_t warmup_s =
+      workload::int_flag_or_exit(options.flags, "warmup", 4);
   const auto seed = options.seed;
 
   std::printf(
@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
 
   const std::vector<double> rps_levels = {10.0, 20.0, 30.0, 40.0, 50.0};
   workload::SweepRunner runner(workload::sweep_options(options));
-  std::vector<workload::ElibraryExperimentResult> outcomes(
+  std::vector<workload::ElibraryScenarioResult> outcomes(
       rps_levels.size() * 2);
   for (std::size_t level = 0; level < rps_levels.size(); ++level) {
     const double rps = rps_levels[level];
@@ -39,15 +39,14 @@ int main(int argc, char** argv) {
       const std::size_t slot = level * 2 + (cross_layer ? 1 : 0);
       runner.add({{"rps", stats::Table::num(rps, 0)},
                   {"cross_layer", cross_layer ? "on" : "off"}},
-                 [rps, cross_layer, duration, warmup, seed, slot, &outcomes] {
-                   workload::ElibraryExperimentConfig config;
-                   config.ls_rps = rps;
-                   config.li_rps = rps;
-                   config.duration = duration;
-                   config.warmup = warmup;
-                   config.seed = seed;
-                   config.cross_layer = cross_layer;
-                   outcomes[slot] = workload::run_elibrary_experiment(config);
+                 [rps, cross_layer, duration, warmup_s, seed, slot,
+                  &outcomes] {
+                   workload::ElibraryScenario scenario =
+                       workload::fig4_scenario(rps, cross_layer);
+                   scenario.duration = duration;
+                   scenario.warmup = sim::seconds(warmup_s);
+                   scenario.seed = seed;
+                   outcomes[slot] = workload::run_elibrary_scenario(scenario);
                    return workload::elibrary_point_metrics(outcomes[slot]);
                  });
     }
@@ -60,8 +59,8 @@ int main(int argc, char** argv) {
 
   double worst_delta = 0.0;
   for (std::size_t level = 0; level < rps_levels.size(); ++level) {
-    const workload::ElibraryExperimentResult& base = outcomes[level * 2];
-    const workload::ElibraryExperimentResult& opt = outcomes[level * 2 + 1];
+    const workload::ElibraryScenarioResult& base = outcomes[level * 2];
+    const workload::ElibraryScenarioResult& opt = outcomes[level * 2 + 1];
     const double delta =
         base.li.p99_ms > 0 ? (opt.li.p99_ms - base.li.p99_ms) / base.li.p99_ms
                            : 0.0;
@@ -83,8 +82,7 @@ int main(int argc, char** argv) {
       "li_degradation",
       {{"seed", std::to_string(seed)},
        {"duration_s", std::to_string(options.duration_s)},
-       {"warmup_s",
-        std::to_string(options.flags.get_int_or("warmup", 4))},
+       {"warmup_s", std::to_string(warmup_s)},
        {"rps", "10,20,30,40,50"}},
       sweep);
   return workload::finish_harness(report, options);

@@ -28,56 +28,94 @@
 #include <vector>
 
 #include "workload/bench_harness.h"
-#include "workload/cp_chaos_experiment.h"
 
 using namespace meshnet;
 
 int main(int argc, char** argv) {
-  workload::CpChaosExperimentConfig config;
+  const workload::ElibraryScenario defaults =
+      workload::cp_chaos_scenario(true);
   const workload::HarnessOptions options = workload::parse_harness_flags(
       argc, argv, "cp",
       /*default_duration_s=*/static_cast<std::int64_t>(
-          sim::to_seconds(config.duration)),
-      /*default_seed=*/config.seed,
+          sim::to_seconds(defaults.duration)),
+      /*default_seed=*/defaults.seed,
       {"ls-rps", "li-rps", "outage-duration-s", "churn-period-s"});
-  config.seed = options.seed;
-  config.duration = sim::seconds(options.duration_s);
-  config.ls_rps = options.flags.get_double_or("ls-rps", config.ls_rps);
-  config.li_rps = options.flags.get_double_or("li-rps", config.li_rps);
-  config.outage_duration = sim::seconds(options.flags.get_int_or(
-      "outage-duration-s",
-      static_cast<std::int64_t>(sim::to_seconds(config.outage_duration))));
-  config.churn_period = sim::seconds(options.flags.get_int_or(
-      "churn-period-s",
-      static_cast<std::int64_t>(sim::to_seconds(config.churn_period))));
+  const util::Flags& flags = options.flags;
+  const double ls_rps =
+      workload::double_flag_or_exit(flags, "ls-rps", defaults.ls_rps);
+  const double li_rps =
+      workload::double_flag_or_exit(flags, "li-rps", defaults.li_rps);
+  const std::int64_t outage_s =
+      workload::int_flag_or_exit(flags, "outage-duration-s", 30);
+  const std::int64_t churn_s =
+      workload::int_flag_or_exit(flags, "churn-period-s", 4);
 
   std::printf(
-      "CHAOS_CP e-library: %.0fs control-plane outage + reviews churn "
-      "storm\n(period %.0fs) inside a %llds window, seed %llu\n\n",
-      sim::to_seconds(config.outage_duration),
-      sim::to_seconds(config.churn_period),
+      "CHAOS_CP e-library: %llds control-plane outage + reviews churn "
+      "storm\n(period %llds) inside a %llds window, seed %llu\n\n",
+      static_cast<long long>(outage_s), static_cast<long long>(churn_s),
       static_cast<long long>(options.duration_s),
-      static_cast<unsigned long long>(config.seed));
+      static_cast<unsigned long long>(options.seed));
 
   workload::SweepRunner runner(workload::sweep_options(options));
-  std::vector<workload::CpChaosExperimentResult> arms(2);
+  std::vector<workload::ElibraryScenarioResult> arms(2);
   for (const bool outage : {true, false}) {
     const std::size_t slot = outage ? 0 : 1;
     runner.add({{"outage", outage ? "on" : "off"}},
-               [config, outage, slot, &arms] {
-                 workload::CpChaosExperimentConfig arm_config = config;
-                 arm_config.outage = outage;
-                 arms[slot] = workload::run_cp_chaos_experiment(arm_config);
+               [&options, ls_rps, li_rps, outage_s, churn_s, outage, slot,
+                &arms] {
+                 workload::ElibraryScenario scenario =
+                     workload::cp_chaos_scenario(
+                         outage, sim::seconds(5), sim::seconds(outage_s),
+                         sim::seconds(churn_s));
+                 scenario.seed = options.seed;
+                 scenario.duration = sim::seconds(options.duration_s);
+                 scenario.ls_rps = ls_rps;
+                 scenario.li_rps = li_rps;
+                 arms[slot] = workload::run_elibrary_scenario(scenario);
                  return workload::cp_point_metrics(arms[slot]);
                });
   }
   const workload::SweepResult sweep = runner.run();
-  const workload::CpChaosExperimentResult& outage_arm = arms[0];
-  const workload::CpChaosExperimentResult& control_arm = arms[1];
+  const workload::ElibraryScenarioResult& outage_arm = arms[0];
+  const workload::ElibraryScenarioResult& control_arm = arms[1];
+  const auto& counters = sweep.points[0].metrics.counters;
+  const auto count = [&counters](const char* name) {
+    return static_cast<unsigned long long>(counters.at(name));
+  };
 
-  std::fputs(
-      workload::format_cp_chaos_comparison(outage_arm, control_arm).c_str(),
-      stdout);
+  std::printf("LS workload by phase (CP outage = 'during'):\n");
+  std::printf("  %-8s %-7s %8s %10s %9s %9s\n", "arm", "phase", "goodput",
+              "success", "p50ms", "p99ms");
+  for (const workload::ElibraryScenarioResult* arm :
+       {&outage_arm, &control_arm}) {
+    for (const workload::PhaseSummary& p : arm->phases) {
+      std::printf("  %-8s %-7s %8.1f %9.2f%% %9.1f %9.1f\n",
+                  arm == &outage_arm ? "outage" : "control", p.name.c_str(),
+                  p.goodput_rps, 100.0 * p.success_rate, p.p50_ms, p.p99_ms);
+    }
+  }
+  const double control_goodput = control_arm.phase("during").goodput_rps;
+  const double ratio =
+      control_goodput > 0
+          ? outage_arm.phase("during").goodput_rps / control_goodput
+          : 0.0;
+  std::printf(
+      "during-outage goodput ratio %.3f | staleness peak %.0f ms | "
+      "reconverge %.0f ms | epoch %llu | stale sidecars %llu\n",
+      ratio, outage_arm.max_staleness_ms, outage_arm.reconverge_ms,
+      count("final_epoch"), count("stale_sidecars_at_end"));
+  std::printf(
+      "pushes: %llu attempts, %llu acks, %llu retries, %llu dropped, "
+      "%llu noop-skips, %llu cert rotations | damped readmissions %llu\n",
+      count("push_attempts"), count("push_acks"), count("push_retries"),
+      count("push_dropped"), count("push_skipped_noop"),
+      count("cert_rotations"), count("flap_damps"));
+  std::printf(
+      "data plane: %llu retries (%llu denied by budget), %llu panic picks, "
+      "%llu deadline timeouts, %llu upstream failures\n",
+      count("upstream_retries"), count("retries_denied_by_budget"),
+      count("panic_picks"), count("timeouts"), count("upstream_failures"));
 
   std::printf("\nfault log (outage arm):\n");
   for (const faults::FaultLogEntry& entry : outage_arm.fault_log) {
@@ -86,10 +124,6 @@ int main(int argc, char** argv) {
                 entry.target.c_str(), entry.applied ? "" : " (not applied)");
   }
 
-  const double ratio = control_arm.during.goodput_rps > 0
-                           ? outage_arm.during.goodput_rps /
-                                 control_arm.during.goodput_rps
-                           : 0.0;
   const bool goodput_ok = ratio >= 0.9;
   const bool reconverged =
       outage_arm.converged && outage_arm.stale_sidecars_at_end == 0;
@@ -97,23 +131,17 @@ int main(int argc, char** argv) {
       "\nacceptance:\n"
       "  during-outage LS goodput ratio %.3f (goal >= 0.90)  %s\n"
       "  reconverged to epoch %llu, %llu stale sidecars      %s\n",
-      ratio, goodput_ok ? "PASS" : "FAIL",
-      static_cast<unsigned long long>(outage_arm.final_epoch),
-      static_cast<unsigned long long>(outage_arm.stale_sidecars_at_end),
-      reconverged ? "PASS" : "FAIL");
+      ratio, goodput_ok ? "PASS" : "FAIL", count("final_epoch"),
+      count("stale_sidecars_at_end"), reconverged ? "PASS" : "FAIL");
 
   const stats::BenchReport report = workload::make_bench_report(
       "cp",
-      {{"seed", std::to_string(config.seed)},
+      {{"seed", std::to_string(options.seed)},
        {"duration_s", std::to_string(options.duration_s)},
-       {"ls_rps", std::to_string(config.ls_rps)},
-       {"li_rps", std::to_string(config.li_rps)},
-       {"outage_duration_s",
-        std::to_string(static_cast<long long>(
-            sim::to_seconds(config.outage_duration)))},
-       {"churn_period_s",
-        std::to_string(
-            static_cast<long long>(sim::to_seconds(config.churn_period)))}},
+       {"ls_rps", std::to_string(ls_rps)},
+       {"li_rps", std::to_string(li_rps)},
+       {"outage_duration_s", std::to_string(outage_s)},
+       {"churn_period_s", std::to_string(churn_s)}},
       sweep);
   const int harness_rc = workload::finish_harness(report, options);
   if (harness_rc != 0) return harness_rc;

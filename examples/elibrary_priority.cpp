@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   const workload::HarnessOptions options = workload::parse_harness_flags(
       argc, argv, "elibrary_priority", /*default_duration_s=*/10,
       /*default_seed=*/42, {"rps"});
-  const double rps = options.flags.get_double_or("rps", 30.0);
+  const double rps = workload::double_flag_or_exit(options.flags, "rps", 30.0);
   const auto duration = sim::seconds(options.duration_s);
   const auto seed = options.seed;
 
@@ -37,18 +37,16 @@ int main(int argc, char** argv) {
               "  all vNICs 15 Gbps, ratings vNIC 1 Gbps (bottleneck)\n\n");
 
   workload::SweepRunner runner(workload::sweep_options(options));
-  std::vector<workload::ElibraryExperimentResult> results(2);
+  std::vector<workload::ElibraryScenarioResult> results(2);
   for (const bool cross_layer : {false, true}) {
     const std::size_t slot = cross_layer ? 1 : 0;
     runner.add({{"cross_layer", cross_layer ? "on" : "off"}},
                [rps, duration, seed, cross_layer, slot, &results] {
-                 workload::ElibraryExperimentConfig config;
-                 config.ls_rps = rps;
-                 config.li_rps = rps;
-                 config.duration = duration;
-                 config.seed = seed;
-                 config.cross_layer = cross_layer;
-                 results[slot] = workload::run_elibrary_experiment(config);
+                 workload::ElibraryScenario scenario =
+                     workload::fig4_scenario(rps, cross_layer);
+                 scenario.duration = duration;
+                 scenario.seed = seed;
+                 results[slot] = workload::run_elibrary_scenario(scenario);
                  return workload::elibrary_point_metrics(results[slot]);
                });
   }
@@ -89,7 +87,7 @@ int main(int argc, char** argv) {
   app::Elibrary app(sim, {});
   core::CrossLayerController controller(
       app.control_plane(), app.cluster(),
-      workload::ElibraryExperimentConfig::default_cross_layer_config());
+      workload::elibrary_cross_layer_config());
   controller.install();
   std::printf("installed tc rules (`tc qdisc show` equivalent):\n%s\n",
               controller.tc().show().c_str());

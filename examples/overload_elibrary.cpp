@@ -16,10 +16,8 @@
 
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "workload/bench_harness.h"
-#include "workload/overload_experiment.h"
 
 using namespace meshnet;
 
@@ -36,76 +34,77 @@ std::string format_factor(double factor) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  workload::OverloadExperimentConfig config;
+  const workload::ElibraryScenario defaults =
+      workload::overload_scenario(2.0, true);
   const workload::HarnessOptions options = workload::parse_harness_flags(
       argc, argv, "overload",
       /*default_duration_s=*/static_cast<std::int64_t>(
-          sim::to_seconds(config.duration)),
-      /*default_seed=*/config.seed, {"capacity-rps", "ls-rps"});
-  config.seed = options.seed;
-  config.duration = sim::seconds(options.duration_s);
-  config.capacity_rps =
-      options.flags.get_double_or("capacity-rps", config.capacity_rps);
-  config.ls_rps = options.flags.get_double_or("ls-rps", config.ls_rps);
+          sim::to_seconds(defaults.duration)),
+      /*default_seed=*/defaults.seed, {"capacity-rps", "ls-rps"});
+  const double capacity_rps =
+      workload::double_flag_or_exit(options.flags, "capacity-rps", 90.0);
+  const double ls_rps =
+      workload::double_flag_or_exit(options.flags, "ls-rps", defaults.ls_rps);
 
   std::printf(
       "overload e-library: capacity ~%.0f rps, LS fixed at %.0f rps,\n"
       "load factors 0.5x..3x, admission on/off, seed %llu\n\n",
-      config.capacity_rps, config.ls_rps,
-      static_cast<unsigned long long>(config.seed));
+      capacity_rps, ls_rps, static_cast<unsigned long long>(options.seed));
 
   workload::SweepRunner runner(workload::sweep_options(options));
   const std::size_t num_factors = std::size(kLoadFactors);
-  std::vector<workload::OverloadExperimentResult> arms(2 * num_factors);
   for (std::size_t i = 0; i < num_factors; ++i) {
     for (const bool admission : {true, false}) {
-      const std::size_t slot = 2 * i + (admission ? 0 : 1);
       runner.add({{"load", format_factor(kLoadFactors[i]) + "x"},
                   {"admission", admission ? "on" : "off"}},
-                 [config, i, admission, slot, &arms] {
-                   workload::OverloadExperimentConfig arm = config;
-                   arm.load_factor = kLoadFactors[i];
-                   arm.admission = admission;
-                   arms[slot] = workload::run_overload_experiment(arm);
-                   return workload::overload_point_metrics(arms[slot]);
+                 [&options, capacity_rps, ls_rps, i, admission] {
+                   workload::ElibraryScenario scenario =
+                       workload::overload_scenario(kLoadFactors[i], admission,
+                                                   capacity_rps, ls_rps);
+                   scenario.seed = options.seed;
+                   scenario.duration = sim::seconds(options.duration_s);
+                   return workload::overload_point_metrics(
+                       workload::run_elibrary_scenario(scenario));
                  });
     }
   }
   const workload::SweepResult sweep = runner.run();
 
+  // Point 2i is load factor i with admission on, 2i+1 with it off.
   std::printf(
       "%-6s %-9s | %9s %7s %8s %8s | %9s %7s %8s | %7s %7s %8s\n", "load",
       "admission", "LS rps", "LS err", "LS p50", "LS p99", "LI rps", "LI err",
       "LI p99", "LS shed", "LI shed", "timeouts");
-  for (std::size_t i = 0; i < num_factors; ++i) {
-    for (const bool admission : {true, false}) {
-      const workload::OverloadExperimentResult& r =
-          arms[2 * i + (admission ? 0 : 1)];
-      std::printf(
-          "%-6s %-9s | %9.1f %7llu %8.1f %8.1f | %9.1f %7llu %8.1f | %7llu "
-          "%7llu %8llu\n",
-          (format_factor(kLoadFactors[i]) + "x").c_str(),
-          admission ? "on" : "off", r.ls.achieved_rps,
-          static_cast<unsigned long long>(r.ls.errors), r.ls.p50_ms,
-          r.ls.p99_ms, r.li.achieved_rps,
-          static_cast<unsigned long long>(r.li.errors), r.li.p99_ms,
-          static_cast<unsigned long long>(r.ls_shed),
-          static_cast<unsigned long long>(r.li_shed),
-          static_cast<unsigned long long>(r.timeouts));
-    }
+  for (std::size_t point = 0; point < sweep.points.size(); ++point) {
+    const workload::PointMetrics& m = sweep.points[point].metrics;
+    const auto count = [&m](const char* name) {
+      return static_cast<unsigned long long>(m.counters.at(name));
+    };
+    std::printf(
+        "%-6s %-9s | %9.1f %7llu %8.1f %8.1f | %9.1f %7llu %8.1f | %7llu "
+        "%7llu %8llu\n",
+        (format_factor(kLoadFactors[point / 2]) + "x").c_str(),
+        point % 2 == 0 ? "on" : "off", m.scalars.at("ls_achieved_rps"),
+        count("ls_errors"), m.scalars.at("ls_p50_ms"),
+        m.scalars.at("ls_p99_ms"), m.scalars.at("li_achieved_rps"),
+        count("li_errors"), m.scalars.at("li_p99_ms"), count("ls_shed"),
+        count("li_shed"), count("timeouts"));
   }
 
   // The acceptance comparison: 2x overload vs the uncontended 0.5x point,
   // both with admission on.
-  const workload::OverloadExperimentResult& uncontended = arms[0];  // 0.5x on
-  const workload::OverloadExperimentResult& overloaded = arms[4];   // 2.0x on
-  const double p99_ratio = uncontended.ls.p99_ms > 0
-                               ? overloaded.ls.p99_ms / uncontended.ls.p99_ms
-                               : 0.0;
+  const workload::PointMetrics& uncontended = sweep.points[0].metrics;  // 0.5x
+  const workload::PointMetrics& overloaded = sweep.points[4].metrics;   // 2.0x
+  const auto count = [&overloaded](const char* name) {
+    return overloaded.counters.at(name);
+  };
+  const double ls_p99 = overloaded.scalars.at("ls_p99_ms");
+  const double base_p99 = uncontended.scalars.at("ls_p99_ms");
+  const double p99_ratio = base_p99 > 0 ? ls_p99 / base_p99 : 0.0;
   const std::uint64_t total_shed =
-      overloaded.ls_shed + overloaded.li_shed + overloaded.default_shed;
+      count("ls_shed") + count("li_shed") + count("default_shed");
   const double li_shed_share =
-      total_shed > 0 ? static_cast<double>(overloaded.li_shed) /
+      total_shed > 0 ? static_cast<double>(count("li_shed")) /
                            static_cast<double>(total_shed)
                      : 1.0;
   std::printf(
@@ -115,23 +114,23 @@ int main(int argc, char** argv) {
       "90%%)\n"
       "  by reason: queue-full %llu, deadline %llu, preempted %llu\n"
       "  retries suppressed by overload marker: %llu\n",
-      overloaded.ls.p99_ms, uncontended.ls.p99_ms, p99_ratio,
-      static_cast<unsigned long long>(overloaded.ls_shed),
-      static_cast<unsigned long long>(overloaded.li_shed),
-      static_cast<unsigned long long>(overloaded.default_shed),
+      ls_p99, base_p99, p99_ratio,
+      static_cast<unsigned long long>(count("ls_shed")),
+      static_cast<unsigned long long>(count("li_shed")),
+      static_cast<unsigned long long>(count("default_shed")),
       100.0 * li_shed_share,
-      static_cast<unsigned long long>(overloaded.shed_queue_full),
-      static_cast<unsigned long long>(overloaded.shed_deadline),
-      static_cast<unsigned long long>(overloaded.shed_preempted),
+      static_cast<unsigned long long>(count("shed_queue_full")),
+      static_cast<unsigned long long>(count("shed_deadline")),
+      static_cast<unsigned long long>(count("shed_preempted")),
       static_cast<unsigned long long>(
-          overloaded.retries_suppressed_by_overload));
+          count("retries_suppressed_by_overload")));
 
   const stats::BenchReport report = workload::make_bench_report(
       "overload",
-      {{"seed", std::to_string(config.seed)},
+      {{"seed", std::to_string(options.seed)},
        {"duration_s", std::to_string(options.duration_s)},
-       {"capacity_rps", std::to_string(config.capacity_rps)},
-       {"ls_rps", std::to_string(config.ls_rps)}},
+       {"capacity_rps", std::to_string(capacity_rps)},
+       {"ls_rps", std::to_string(ls_rps)}},
       sweep);
   return workload::finish_harness(report, options);
 }

@@ -1,6 +1,9 @@
 #include "workload/bench_harness.h"
 
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
+#include <type_traits>
 
 namespace meshnet::workload {
 
@@ -9,6 +12,43 @@ namespace meshnet::workload {
 // across the gcc/clang matrix; MSVC is not a supported toolchain here.
 __attribute__((weak)) std::uint64_t bench_allocation_count() noexcept {
   return 0;
+}
+
+namespace {
+
+/// strtoll/strtod over the whole value; exits 2 naming the flag when any
+/// of it does not parse.
+template <typename T>
+T numeric_flag_or_exit(const util::Flags& flags, std::string_view name,
+                       T fallback) {
+  const std::optional<std::string> value = flags.get(name);
+  if (!value) return fallback;
+  char* end = nullptr;
+  errno = 0;
+  T parsed;
+  if constexpr (std::is_integral_v<T>) {
+    parsed = std::strtoll(value->c_str(), &end, 10);
+  } else {
+    parsed = std::strtod(value->c_str(), &end);
+  }
+  if (end == value->c_str() || *end != '\0' || errno == ERANGE) {
+    std::fprintf(stderr, "malformed value for --%.*s: '%s'\n",
+                 static_cast<int>(name.size()), name.data(), value->c_str());
+    std::exit(2);
+  }
+  return parsed;
+}
+
+}  // namespace
+
+std::int64_t int_flag_or_exit(const util::Flags& flags, std::string_view name,
+                              std::int64_t fallback) {
+  return numeric_flag_or_exit(flags, name, fallback);
+}
+
+double double_flag_or_exit(const util::Flags& flags, std::string_view name,
+                           double fallback) {
+  return numeric_flag_or_exit(flags, name, fallback);
 }
 
 HarnessOptions parse_harness_flags(
@@ -22,18 +62,17 @@ HarnessOptions parse_harness_flags(
 
   HarnessOptions options;
   options.flags = util::Flags::parse_or_die(argc, argv, known, extra_prefixes);
-  options.threads =
-      static_cast<int>(options.flags.get_int_or("threads", 1));
+  const util::Flags& flags = options.flags;
+  options.threads = static_cast<int>(int_flag_or_exit(flags, "threads", 1));
   options.json_out = options.flags.get_or("json-out", "");
   if (options.json_out == "true") {  // bare --json-out
     options.json_out = "BENCH_" + std::string(experiment) + ".json";
   }
   options.baseline = options.flags.get_or("baseline", "");
-  options.tolerance = options.flags.get_double_or("tolerance", 1e-9);
-  options.duration_s =
-      options.flags.get_int_or("duration", default_duration_s);
-  options.seed = static_cast<std::uint64_t>(options.flags.get_int_or(
-      "seed", static_cast<std::int64_t>(default_seed)));
+  options.tolerance = double_flag_or_exit(flags, "tolerance", 1e-9);
+  options.duration_s = int_flag_or_exit(flags, "duration", default_duration_s);
+  options.seed = static_cast<std::uint64_t>(int_flag_or_exit(
+      flags, "seed", static_cast<std::int64_t>(default_seed)));
   return options;
 }
 
@@ -105,24 +144,48 @@ int finish_harness(const stats::BenchReport& input,
   return 0;
 }
 
-PointMetrics elibrary_point_metrics(const ElibraryExperimentResult& result) {
+namespace {
+
+/// Latency percentiles, throughput and in-window completion counters,
+/// shared by every e-library metric set (which name the throughput
+/// "<prefix><rps_suffix>").
+void add_workload(PointMetrics& metrics, const std::string& prefix,
+                  const WorkloadSummary& summary, const char* rps_suffix) {
+  metrics.scalars[prefix + "_p50_ms"] = summary.p50_ms;
+  metrics.scalars[prefix + "_p90_ms"] = summary.p90_ms;
+  metrics.scalars[prefix + "_p99_ms"] = summary.p99_ms;
+  metrics.scalars[prefix + "_mean_ms"] = summary.mean_ms;
+  metrics.scalars[prefix + rps_suffix] = summary.achieved_rps;
+  metrics.counters[prefix + "_completed"] = summary.completed;
+  metrics.counters[prefix + "_errors"] = summary.errors;
+}
+
+double success_rate(const WorkloadSummary& summary) {
+  const double total = static_cast<double>(summary.completed + summary.errors);
+  return total > 0 ? static_cast<double>(summary.completed) / total : 1.0;
+}
+
+/// Per-phase LS goodput, success rate and latency, keyed by phase name.
+void add_phases(PointMetrics& metrics, const ElibraryScenarioResult& result) {
+  for (const PhaseSummary& phase : result.phases) {
+    metrics.scalars[phase.name + "_goodput_rps"] = phase.goodput_rps;
+    metrics.scalars[phase.name + "_success_rate"] = phase.success_rate;
+    metrics.scalars[phase.name + "_p50_ms"] = phase.p50_ms;
+    metrics.scalars[phase.name + "_p99_ms"] = phase.p99_ms;
+    metrics.counters[phase.name + "_scheduled"] = phase.scheduled;
+    metrics.counters[phase.name + "_completed"] = phase.completed;
+    metrics.counters[phase.name + "_errors"] = phase.errors;
+  }
+}
+
+}  // namespace
+
+PointMetrics elibrary_point_metrics(const ElibraryScenarioResult& result) {
   PointMetrics metrics;
-  const auto add_workload = [&metrics](const std::string& prefix,
-                                       const WorkloadSummary& summary) {
-    metrics.scalars[prefix + "_p50_ms"] = summary.p50_ms;
-    metrics.scalars[prefix + "_p90_ms"] = summary.p90_ms;
-    metrics.scalars[prefix + "_p99_ms"] = summary.p99_ms;
-    metrics.scalars[prefix + "_mean_ms"] = summary.mean_ms;
-    metrics.scalars[prefix + "_rps"] = summary.achieved_rps;
-    const double total =
-        static_cast<double>(summary.completed + summary.errors);
-    metrics.scalars[prefix + "_success_rate"] =
-        total > 0 ? static_cast<double>(summary.completed) / total : 1.0;
-    metrics.counters[prefix + "_completed"] = summary.completed;
-    metrics.counters[prefix + "_errors"] = summary.errors;
-  };
-  add_workload("ls", result.ls);
-  add_workload("li", result.li);
+  add_workload(metrics, "ls", result.ls, "_rps");
+  add_workload(metrics, "li", result.li, "_rps");
+  metrics.scalars["ls_success_rate"] = success_rate(result.ls);
+  metrics.scalars["li_success_rate"] = success_rate(result.li);
   metrics.scalars["bottleneck_utilization"] = result.bottleneck_utilization;
   metrics.counters["bottleneck_drops"] = result.bottleneck_drops;
   metrics.counters["events"] = result.events_executed;
@@ -143,32 +206,35 @@ PointMetrics elibrary_point_metrics(const ElibraryExperimentResult& result) {
   return metrics;
 }
 
-PointMetrics overload_point_metrics(const OverloadExperimentResult& result) {
+PointMetrics overload_point_metrics(const ElibraryScenarioResult& result) {
   PointMetrics metrics;
-  const auto add_workload = [&metrics](const std::string& prefix,
-                                       const WorkloadSummary& summary) {
-    metrics.scalars[prefix + "_achieved_rps"] = summary.achieved_rps;
-    metrics.scalars[prefix + "_p50_ms"] = summary.p50_ms;
-    metrics.scalars[prefix + "_p90_ms"] = summary.p90_ms;
-    metrics.scalars[prefix + "_p99_ms"] = summary.p99_ms;
-    metrics.scalars[prefix + "_mean_ms"] = summary.mean_ms;
-    metrics.counters[prefix + "_completed"] = summary.completed;
-    metrics.counters[prefix + "_errors"] = summary.errors;
-  };
-  add_workload("ls", result.ls);
-  add_workload("li", result.li);
-  metrics.counters["ls_shed"] = result.ls_shed;
-  metrics.counters["li_shed"] = result.li_shed;
-  metrics.counters["default_shed"] = result.default_shed;
-  metrics.counters["shed_queue_full"] = result.shed_queue_full;
-  metrics.counters["shed_deadline"] = result.shed_deadline;
-  metrics.counters["shed_preempted"] = result.shed_preempted;
-  metrics.counters["admission_accepted"] = result.admission_accepted;
-  metrics.counters["admission_queued"] = result.admission_queued;
-  metrics.counters["upstream_retries"] = result.upstream_retries;
+  add_workload(metrics, "ls", result.ls, "_achieved_rps");
+  add_workload(metrics, "li", result.li, "_achieved_rps");
+  // admission_* series (one per service/class/reason) folded into the
+  // by-class and by-reason totals the acceptance criteria talk about.
+  const obs::MetricsSnapshot& snap = result.metrics;
+  const std::uint64_t ls_shed = counter_total(
+      snap, "admission_shed_total", {{"class", "latency-sensitive"}});
+  const std::uint64_t li_shed =
+      counter_total(snap, "admission_shed_total", {{"class", "scavenger"}});
+  metrics.counters["ls_shed"] = ls_shed;
+  metrics.counters["li_shed"] = li_shed;
+  metrics.counters["default_shed"] =
+      counter_total(snap, "admission_shed_total") - ls_shed - li_shed;
+  metrics.counters["shed_queue_full"] =
+      counter_total(snap, "admission_shed_total", {{"reason", "queue-full"}});
+  metrics.counters["shed_deadline"] =
+      counter_total(snap, "admission_shed_total", {{"reason", "deadline"}});
+  metrics.counters["shed_preempted"] =
+      counter_total(snap, "admission_shed_total", {{"reason", "preempted"}});
+  metrics.counters["admission_accepted"] =
+      counter_total(snap, "admission_accepted_total");
+  metrics.counters["admission_queued"] =
+      counter_total(snap, "admission_queued_total");
+  metrics.counters["upstream_retries"] = result.sidecars.upstream_retries;
   metrics.counters["retries_suppressed_by_overload"] =
-      result.retries_suppressed_by_overload;
-  metrics.counters["timeouts"] = result.timeouts;
+      result.sidecars.retries_suppressed_by_overload;
+  metrics.counters["timeouts"] = result.sidecars.timeouts;
   metrics.counters["events"] = result.events_executed;
   metrics.histograms["ls_latency_ms"] = result.ls_latency;
   metrics.histograms["li_latency_ms"] = result.li_latency;
@@ -176,21 +242,9 @@ PointMetrics overload_point_metrics(const OverloadExperimentResult& result) {
   return metrics;
 }
 
-PointMetrics cp_point_metrics(const CpChaosExperimentResult& result) {
+PointMetrics cp_point_metrics(const ElibraryScenarioResult& result) {
   PointMetrics metrics;
-  const auto add_phase = [&metrics](const std::string& prefix,
-                                    const PhaseSummary& phase) {
-    metrics.scalars[prefix + "_goodput_rps"] = phase.goodput_rps;
-    metrics.scalars[prefix + "_success_rate"] = phase.success_rate;
-    metrics.scalars[prefix + "_p50_ms"] = phase.p50_ms;
-    metrics.scalars[prefix + "_p99_ms"] = phase.p99_ms;
-    metrics.counters[prefix + "_scheduled"] = phase.scheduled;
-    metrics.counters[prefix + "_completed"] = phase.completed;
-    metrics.counters[prefix + "_errors"] = phase.errors;
-  };
-  add_phase("before", result.before);
-  add_phase("during", result.during);
-  add_phase("after", result.after);
+  add_phases(metrics, result);
   metrics.scalars["ls_p99_ms"] = result.ls.p99_ms;
   metrics.scalars["li_p99_ms"] = result.li.p99_ms;
   metrics.scalars["reconverge_ms"] = result.reconverge_ms;
@@ -199,77 +253,59 @@ PointMetrics cp_point_metrics(const CpChaosExperimentResult& result) {
   metrics.counters["ls_errors"] = result.ls.errors;
   metrics.counters["li_completed"] = result.li.completed;
   metrics.counters["li_errors"] = result.li.errors;
-  metrics.counters["push_attempts"] = result.push_attempts;
-  metrics.counters["push_acks"] = result.push_acks;
-  metrics.counters["push_nacks"] = result.push_nacks;
-  metrics.counters["push_retries"] = result.push_retries;
-  metrics.counters["push_skipped_noop"] = result.push_skipped_noop;
-  metrics.counters["push_dropped"] = result.push_dropped;
-  metrics.counters["config_rollbacks"] = result.config_rollbacks;
-  metrics.counters["cert_rotations"] = result.cert_rotations;
+  const obs::MetricsSnapshot& snap = result.metrics;
+  for (const char* name :
+       {"push_attempts", "push_acks", "push_nacks", "push_retries",
+        "push_dropped", "config_rollbacks", "cert_rotations"}) {
+    metrics.counters[name] =
+        counter_total(snap, "cp_" + std::string(name) + "_total");
+  }
+  metrics.counters["push_skipped_noop"] =
+      counter_total(snap, "cp_push_skipped_noop");
   metrics.counters["final_epoch"] = result.final_epoch;
   metrics.counters["stale_sidecars_at_end"] = result.stale_sidecars_at_end;
   metrics.counters["converged"] = result.converged ? 1 : 0;
-  metrics.counters["health_evictions"] = result.health_evictions;
-  metrics.counters["health_readmissions"] = result.health_readmissions;
+  metrics.counters["health_evictions"] = health_events(result, "evicted");
+  metrics.counters["health_readmissions"] =
+      health_events(result, "readmitted");
   metrics.counters["flap_damps"] = result.flap_damps;
-  metrics.counters["upstream_retries"] = result.upstream_retries;
+  const mesh::SidecarStats& sidecars = result.sidecars;
+  metrics.counters["upstream_retries"] = sidecars.upstream_retries;
   metrics.counters["retries_denied_by_budget"] =
-      result.retries_denied_by_budget;
-  metrics.counters["panic_picks"] = result.panic_picks;
-  metrics.counters["timeouts"] = result.timeouts;
-  metrics.counters["upstream_failures"] = result.upstream_failures;
+      sidecars.retries_denied_by_budget;
+  metrics.counters["panic_picks"] = sidecars.panic_picks;
+  metrics.counters["timeouts"] = sidecars.timeouts;
+  metrics.counters["upstream_failures"] = sidecars.upstream_failures;
   metrics.counters["faults_executed"] = result.fault_log.size();
   metrics.counters["events"] = result.events_executed;
   metrics.snapshot = result.metrics;
   return metrics;
 }
 
-PointMetrics mtls_point_metrics(const MtlsExperimentResult& result) {
+PointMetrics mtls_point_metrics(const ElibraryScenarioResult& result) {
   PointMetrics metrics;
-  const auto add_workload = [&metrics](const std::string& prefix,
-                                       const WorkloadSummary& summary) {
-    metrics.scalars[prefix + "_p50_ms"] = summary.p50_ms;
-    metrics.scalars[prefix + "_p90_ms"] = summary.p90_ms;
-    metrics.scalars[prefix + "_p99_ms"] = summary.p99_ms;
-    metrics.scalars[prefix + "_mean_ms"] = summary.mean_ms;
-    metrics.scalars[prefix + "_rps"] = summary.achieved_rps;
-    metrics.counters[prefix + "_completed"] = summary.completed;
-    metrics.counters[prefix + "_errors"] = summary.errors;
-  };
-  add_workload("ls", result.ls);
-  add_workload("li", result.li);
-  const auto add_phase = [&metrics](const std::string& prefix,
-                                    const PhaseSummary& phase) {
-    metrics.scalars[prefix + "_goodput_rps"] = phase.goodput_rps;
-    metrics.scalars[prefix + "_success_rate"] = phase.success_rate;
-    metrics.scalars[prefix + "_p50_ms"] = phase.p50_ms;
-    metrics.scalars[prefix + "_p99_ms"] = phase.p99_ms;
-    metrics.counters[prefix + "_scheduled"] = phase.scheduled;
-    metrics.counters[prefix + "_completed"] = phase.completed;
-    metrics.counters[prefix + "_errors"] = phase.errors;
-  };
-  add_phase("pre", result.pre);
-  add_phase("post", result.post);
+  add_workload(metrics, "ls", result.ls, "_rps");
+  add_workload(metrics, "li", result.li, "_rps");
+  add_phases(metrics, result);
   metrics.scalars["bottleneck_utilization"] = result.bottleneck_utilization;
   metrics.counters["bottleneck_drops"] = result.bottleneck_drops;
-  metrics.counters["tls_handshakes_full"] = result.handshakes_full;
-  metrics.counters["tls_handshakes_resumed"] = result.handshakes_resumed;
-  metrics.counters["tls_handshake_failures"] = result.handshake_failures;
-  metrics.counters["tls_tickets_issued"] = result.tickets_issued;
-  metrics.counters["tls_resumptions_rejected"] = result.resumptions_rejected;
-  metrics.counters["tls_session_cache_evictions"] =
-      result.session_cache_evictions;
-  metrics.counters["tls_records_encrypted"] = result.records_encrypted;
-  metrics.counters["tls_records_decrypted"] = result.records_decrypted;
-  metrics.counters["tls_bytes_encrypted"] = result.bytes_encrypted;
-  metrics.counters["tls_bytes_decrypted"] = result.bytes_decrypted;
-  metrics.counters["tls_alerts"] = result.tls_alerts;
-  metrics.counters["cert_rotations"] = result.cert_rotations;
-  metrics.counters["upstream_retries"] = result.upstream_retries;
-  metrics.counters["timeouts"] = result.timeouts;
-  metrics.counters["upstream_failures"] = result.upstream_failures;
-  metrics.counters["downstream_aborts"] = result.downstream_aborts;
+  // The mesh-wide tls_* registry counters, under their names minus
+  // "_total".
+  for (const char* name :
+       {"handshakes_full", "handshakes_resumed", "handshake_failures",
+        "tickets_issued", "resumptions_rejected", "session_cache_evictions",
+        "records_encrypted", "records_decrypted", "bytes_encrypted",
+        "bytes_decrypted", "alerts"}) {
+    const std::string series = "tls_" + std::string(name);
+    metrics.counters[series] = counter_total(result.metrics, series + "_total");
+  }
+  metrics.counters["cert_rotations"] =
+      counter_total(result.metrics, "cp_cert_rotations_total");
+  const mesh::SidecarStats& sidecars = result.sidecars;
+  metrics.counters["upstream_retries"] = sidecars.upstream_retries;
+  metrics.counters["timeouts"] = sidecars.timeouts;
+  metrics.counters["upstream_failures"] = sidecars.upstream_failures;
+  metrics.counters["downstream_aborts"] = sidecars.downstream_aborts;
   metrics.counters["faults_executed"] = result.fault_log.size();
   metrics.counters["events"] = result.events_executed;
   metrics.snapshot = result.metrics;

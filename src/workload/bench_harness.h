@@ -15,8 +15,8 @@
 //   --seed=S        run-level PRNG seed
 //
 // plus any bench-specific flags the binary declares. Unknown or duplicate
-// flags abort with exit code 2 (a typo must not silently run a default
-// sweep).
+// flags, and malformed numeric harness values, abort with exit code 2 (a
+// typo must not silently run a default sweep).
 
 #include <cstdint>
 #include <string>
@@ -25,11 +25,8 @@
 
 #include "stats/bench_report.h"
 #include "util/flags.h"
-#include "workload/cp_chaos_experiment.h"
-#include "workload/elibrary_experiment.h"
+#include "workload/elibrary_scenario.h"
 #include "workload/meshscale_experiment.h"
-#include "workload/mtls_experiment.h"
-#include "workload/overload_experiment.h"
 #include "workload/parsim_experiment.h"
 #include "workload/sweep_runner.h"
 
@@ -55,6 +52,14 @@ HarnessOptions parse_harness_flags(
     const std::vector<std::string_view>& extra_flags = {},
     const std::vector<std::string_view>& extra_prefixes = {});
 
+/// Strict numeric flag readers for bench-specific flags: `fallback` when
+/// the flag is absent, exit 2 naming the flag when its value does not
+/// parse in full (util::Flags::get_*_or would silently fall back).
+std::int64_t int_flag_or_exit(const util::Flags& flags, std::string_view name,
+                              std::int64_t fallback);
+double double_flag_or_exit(const util::Flags& flags, std::string_view name,
+                           double fallback);
+
 /// SweepOptions matching the parsed flags (progress lines on stderr).
 SweepOptions sweep_options(const HarnessOptions& options);
 
@@ -71,29 +76,23 @@ int finish_harness(const stats::BenchReport& report,
 /// reports. finish_harness uses it for wall_allocs_per_event.
 std::uint64_t bench_allocation_count() noexcept;
 
-/// The standard metric set for one e-library experiment run: per-workload
-/// p50/p90/p99/mean, success rate, completion/error/event counters and
-/// the raw latency histograms.
-PointMetrics elibrary_point_metrics(const ElibraryExperimentResult& result);
-
-/// The standard metric set for one OVERLOAD experiment arm: per-workload
-/// latency scalars, admission/shed/retry counters, latency histograms
-/// and the unified metrics snapshot. Shared by examples/overload_elibrary
-/// and the OverloadDeterminism golden so both compare the same surface.
-PointMetrics overload_point_metrics(const OverloadExperimentResult& result);
-
-/// The standard metric set for one CHAOS_CP experiment arm: per-phase LS
-/// goodput, push-channel counters (attempts/acks/retries/noop-skips),
-/// convergence scalars and the unified metrics snapshot. Shared by
-/// examples/cp_chaos_elibrary and the CpChaosDeterminism golden.
-PointMetrics cp_point_metrics(const CpChaosExperimentResult& result);
-
-/// The standard metric set for one MTLS experiment arm: per-workload
-/// latency scalars, the pre/post-storm phase split, the mesh-wide tls_*
-/// counter surface, bottleneck utilization and the unified metrics
-/// snapshot. Shared by bench/bench_mtls and the MtlsDeterminism golden
-/// so both compare the same surface.
-PointMetrics mtls_point_metrics(const MtlsExperimentResult& result);
+/// The standard metric sets for e-library scenario runs. Each is shared
+/// by its bench/example and the matching determinism golden, so both
+/// compare the same surface; registry-backed counters are read from the
+/// run's snapshot (counter_total).
+///
+/// FIG4 family (FIG4, TXT-LI, ABL-COMP): per-workload p50/p90/p99/mean,
+/// success rate, completion/error/event counters, the engine_* scheduler
+/// profile and the raw latency histograms.
+PointMetrics elibrary_point_metrics(const ElibraryScenarioResult& result);
+/// OVERLOAD: per-workload latency, admission/shed/retry counters and the
+/// latency histograms.
+PointMetrics overload_point_metrics(const ElibraryScenarioResult& result);
+/// CHAOS_CP: per-phase LS goodput, push-channel counters and convergence.
+PointMetrics cp_point_metrics(const ElibraryScenarioResult& result);
+/// MTLS: per-workload latency, the pre/post-storm phases, the tls_*
+/// counter surface and bottleneck utilization.
+PointMetrics mtls_point_metrics(const ElibraryScenarioResult& result);
 
 /// The standard metric set for one PARSIM run: workload scalars/counters
 /// (shard- and thread-invariant), the end-to-end latency histogram, the

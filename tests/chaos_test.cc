@@ -5,33 +5,32 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <memory>
 #include <utility>
 #include <vector>
 
-#include "workload/chaos_experiment.h"
+#include "workload/elibrary_scenario.h"
 #include "workload/sweep_runner.h"
 
 namespace meshnet::workload {
 namespace {
 
-ChaosExperimentConfig small_config() {
-  ChaosExperimentConfig config;
+ElibraryScenario small_config(bool resilience = true) {
+  ElibraryScenario config =
+      chaos_scenario(resilience, /*fault_offset=*/sim::seconds(1),
+                     /*fault_duration=*/sim::seconds(3));
   config.ls_rps = 20;
   config.li_rps = 5;
   config.warmup = sim::seconds(1);
   config.duration = sim::seconds(6);
   config.cooldown = sim::seconds(1);
-  config.fault_start_offset = sim::seconds(1);
-  config.fault_duration = sim::seconds(3);
   return config;
 }
 
 TEST(ChaosExperiment, DeterministicForSameSeed) {
-  ChaosExperimentConfig config = small_config();
-  const ChaosExperimentResult a = run_chaos_elibrary_experiment(config);
-  const ChaosExperimentResult b = run_chaos_elibrary_experiment(config);
+  ElibraryScenario config = small_config();
+  const ElibraryScenarioResult a = run_elibrary_scenario(config);
+  const ElibraryScenarioResult b = run_elibrary_scenario(config);
 
   // Same seed => identical simulation, event for event.
   EXPECT_EQ(a.events_executed, b.events_executed);
@@ -56,53 +55,45 @@ TEST(ChaosExperiment, DeterministicForSameSeed) {
   // A different seed actually changes arrivals (guards against the seed
   // being ignored somewhere).
   config.seed += 1;
-  const ChaosExperimentResult c = run_chaos_elibrary_experiment(config);
+  const ElibraryScenarioResult c = run_elibrary_scenario(config);
   EXPECT_NE(a.events_executed, c.events_executed);
 }
 
 TEST(ChaosExperiment, ResilienceRidesThroughCrashBaselineDegrades) {
-  ChaosExperimentConfig config;
-  config.ls_rps = 30;
-  config.li_rps = 10;
-  config.warmup = sim::seconds(4);
-  config.duration = sim::seconds(24);
-  config.cooldown = sim::seconds(4);
-  config.fault_start_offset = sim::seconds(6);
-  config.fault_duration = sim::seconds(10);
-
-  config.resilience = true;
-  const ChaosExperimentResult resilient =
-      run_chaos_elibrary_experiment(config);
-  config.resilience = false;
-  const ChaosExperimentResult baseline =
-      run_chaos_elibrary_experiment(config);
-
-  std::fputs(format_chaos_comparison(resilient, baseline).c_str(), stdout);
+  // The CHAOS preset's defaults: 30/10 rps, 4+24+4 s windows, the fault
+  // window 6 s into the measured window for 10 s.
+  const ElibraryScenarioResult resilient =
+      run_elibrary_scenario(chaos_scenario(true));
+  const ElibraryScenarioResult baseline =
+      run_elibrary_scenario(chaos_scenario(false));
+  const PhaseSummary& r_before = resilient.phase("before");
+  const PhaseSummary& r_during = resilient.phase("during");
+  const PhaseSummary& r_after = resilient.phase("after");
+  const PhaseSummary& b_during = baseline.phase("during");
 
   // Sanity: the fault window saw real traffic in both arms.
-  EXPECT_GT(resilient.during.scheduled, 100u);
-  EXPECT_GT(baseline.during.scheduled, 100u);
+  EXPECT_GT(r_during.scheduled, 100u);
+  EXPECT_GT(b_during.scheduled, 100u);
 
   // Resilient arm: health checking evicted the crashed replica and
   // readmitted it after restart; LS success held through the fault.
-  EXPECT_GE(resilient.health_evictions, 1u);
-  EXPECT_GE(resilient.health_readmissions, 1u);
-  EXPECT_GE(resilient.before.success_rate, 0.99);
-  EXPECT_GE(resilient.during.success_rate, 0.99);
-  EXPECT_GE(resilient.after.success_rate, 0.99);
+  EXPECT_GE(health_events(resilient, "evicted"), 1u);
+  EXPECT_GE(health_events(resilient, "readmitted"), 1u);
+  EXPECT_GE(r_before.success_rate, 0.99);
+  EXPECT_GE(r_during.success_rate, 0.99);
+  EXPECT_GE(r_after.success_rate, 0.99);
   // p99 recovers once the fault window closes: "after" looks like
   // "before" (generous 3x bound — both should be a few ms).
-  EXPECT_LT(resilient.after.p99_ms, 3.0 * resilient.before.p99_ms + 5.0);
+  EXPECT_LT(r_after.p99_ms, 3.0 * r_before.p99_ms + 5.0);
 
   // Baseline arm: no detection, no retries — requests routed to the dead
   // replica hang to the deadline and fail, so success during the fault
   // drops measurably.
-  EXPECT_EQ(baseline.health_evictions, 0u);
-  EXPECT_LT(baseline.during.success_rate, 0.90);
-  EXPECT_LT(baseline.during.success_rate,
-            resilient.during.success_rate - 0.05);
+  EXPECT_EQ(health_events(baseline, "evicted"), 0u);
+  EXPECT_LT(b_during.success_rate, 0.90);
+  EXPECT_LT(b_during.success_rate, r_during.success_rate - 0.05);
   // And its p99 during the fault is dominated by the request deadline.
-  EXPECT_GT(baseline.during.p99_ms, resilient.during.p99_ms);
+  EXPECT_GT(b_during.p99_ms, r_during.p99_ms);
 }
 
 // The chaos experiment through the sweep runner: both arms (resilient and
@@ -115,20 +106,18 @@ TEST(ChaosExperiment, SweepBitIdenticalAcrossThreadCounts) {
     SweepOptions options;
     options.threads = threads;
     SweepRunner runner(options);
-    auto results =
-        std::make_shared<std::vector<ChaosExperimentResult>>(2);
+    auto results = std::make_shared<std::vector<ElibraryScenarioResult>>(2);
     for (const bool resilience : {true, false}) {
       const std::size_t slot = resilience ? 0 : 1;
       runner.add({{"resilience", resilience ? "on" : "off"}},
                  [resilience, slot, results] {
-                   ChaosExperimentConfig config = small_config();
-                   config.resilience = resilience;
-                   (*results)[slot] = run_chaos_elibrary_experiment(config);
-                   const ChaosExperimentResult& r = (*results)[slot];
+                   (*results)[slot] =
+                       run_elibrary_scenario(small_config(resilience));
+                   const ElibraryScenarioResult& r = (*results)[slot];
                    PointMetrics metrics;
                    metrics.scalars["during_goodput_rps"] =
-                       r.during.goodput_rps;
-                   metrics.scalars["during_p99_ms"] = r.during.p99_ms;
+                       r.phase("during").goodput_rps;
+                   metrics.scalars["during_p99_ms"] = r.phase("during").p99_ms;
                    metrics.counters["events"] = r.events_executed;
                    metrics.counters["fault_log"] = r.fault_log.size();
                    metrics.counters["mesh_events"] = r.mesh_events.size();
@@ -158,8 +147,8 @@ TEST(ChaosExperiment, SweepBitIdenticalAcrossThreadCounts) {
 
     // Event-for-event equality of both arms' determinism witnesses.
     for (std::size_t arm = 0; arm < 2; ++arm) {
-      const ChaosExperimentResult& a = (*serial_results)[arm];
-      const ChaosExperimentResult& b = (*parallel_results)[arm];
+      const ElibraryScenarioResult& a = (*serial_results)[arm];
+      const ElibraryScenarioResult& b = (*parallel_results)[arm];
       EXPECT_EQ(a.events_executed, b.events_executed);
       ASSERT_EQ(a.fault_log.size(), b.fault_log.size());
       for (std::size_t i = 0; i < a.fault_log.size(); ++i) {

@@ -9,26 +9,21 @@
 #include "app/elibrary.h"
 #include "core/cross_layer.h"
 #include "net/qdisc.h"
-#include "workload/elibrary_experiment.h"
-#include "workload/generator.h"
+#include "workload/elibrary_scenario.h"
 
 namespace meshnet {
 namespace {
 
-workload::ElibraryExperimentConfig quick_config(double rps,
-                                                bool cross_layer) {
-  workload::ElibraryExperimentConfig config;
-  config.ls_rps = rps;
-  config.li_rps = rps;
+workload::ElibraryScenario quick_config(double rps, bool cross_layer) {
+  workload::ElibraryScenario config = workload::fig4_scenario(rps, cross_layer);
   config.warmup = sim::seconds(2);
   config.duration = sim::seconds(6);
   config.cooldown = sim::seconds(1);
-  config.cross_layer = cross_layer;
   return config;
 }
 
 TEST(Integration, BaselineServesBothWorkloads) {
-  const auto result = workload::run_elibrary_experiment(quick_config(20, false));
+  const auto result = workload::run_elibrary_scenario(quick_config(20, false));
   EXPECT_GT(result.ls.completed, 80u);
   EXPECT_GT(result.li.completed, 80u);
   EXPECT_EQ(result.ls.errors, 0u);
@@ -37,8 +32,8 @@ TEST(Integration, BaselineServesBothWorkloads) {
 }
 
 TEST(Integration, CrossLayerImprovesLsTailUnderLoad) {
-  const auto base = workload::run_elibrary_experiment(quick_config(40, false));
-  const auto opt = workload::run_elibrary_experiment(quick_config(40, true));
+  const auto base = workload::run_elibrary_scenario(quick_config(40, false));
+  const auto opt = workload::run_elibrary_scenario(quick_config(40, true));
   // The paper's headline: prioritization improves the LS workload's
   // latency, clearly at the tail.
   EXPECT_LT(opt.ls.p99_ms, base.ls.p99_ms * 0.8)
@@ -47,8 +42,8 @@ TEST(Integration, CrossLayerImprovesLsTailUnderLoad) {
 }
 
 TEST(Integration, LiDegradationIsBounded) {
-  const auto base = workload::run_elibrary_experiment(quick_config(40, false));
-  const auto opt = workload::run_elibrary_experiment(quick_config(40, true));
+  const auto base = workload::run_elibrary_scenario(quick_config(40, false));
+  const auto opt = workload::run_elibrary_scenario(quick_config(40, true));
   // Paper: < 5% LI p99 degradation. Allow slack for short-run noise.
   EXPECT_LT(opt.li.p99_ms, base.li.p99_ms * 1.15)
       << "base=" << base.li.p99_ms << " opt=" << opt.li.p99_ms;
@@ -56,7 +51,7 @@ TEST(Integration, LiDegradationIsBounded) {
 }
 
 TEST(Integration, PriorityBandsCarryTraffic) {
-  const auto result = workload::run_elibrary_experiment(quick_config(30, true));
+  const auto result = workload::run_elibrary_scenario(quick_config(30, true));
   // With cross-layer on, both bands of the bottleneck's weighted qdisc
   // must have moved bytes: high (LS responses to reviews-1) and low
   // (LI responses to reviews-2).
@@ -75,7 +70,7 @@ TEST(Integration, ProvenancePropagatesThroughTheTree) {
   app::Elibrary app(sim, options);
 
   core::CrossLayerConfig config =
-      workload::ElibraryExperimentConfig::default_cross_layer_config();
+      workload::elibrary_cross_layer_config();
   core::CrossLayerController controller(app.control_plane(), app.cluster(),
                                         config);
   controller.install();
@@ -127,7 +122,7 @@ TEST(Integration, PriorityRoutingSeparatesReplicas) {
   app::Elibrary app(sim, options);
   core::CrossLayerController controller(
       app.control_plane(), app.cluster(),
-      workload::ElibraryExperimentConfig::default_cross_layer_config());
+      workload::elibrary_cross_layer_config());
   controller.install();
 
   // reviews-v1 handles high, reviews-v2 low: check via each sidecar's
@@ -183,11 +178,11 @@ TEST(Integration, ScavengerTransportAloneProtectsLs) {
   // class just rides LEDBAT. LS tail must still improve vs baseline.
   auto base_config = quick_config(40, false);
   auto scav_config = quick_config(40, true);
-  scav_config.cross_layer_config.tc_priority = false;
-  scav_config.cross_layer_config.priority_routing = false;
-  scav_config.cross_layer_config.scavenger_transport = true;
-  const auto base = workload::run_elibrary_experiment(base_config);
-  const auto scav = workload::run_elibrary_experiment(scav_config);
+  scav_config.cross_layer->tc_priority = false;
+  scav_config.cross_layer->priority_routing = false;
+  scav_config.cross_layer->scavenger_transport = true;
+  const auto base = workload::run_elibrary_scenario(base_config);
+  const auto scav = workload::run_elibrary_scenario(scav_config);
   EXPECT_LT(scav.ls.p99_ms, base.ls.p99_ms)
       << "base=" << base.ls.p99_ms << " scav=" << scav.ls.p99_ms;
 }
@@ -200,11 +195,11 @@ TEST(Integration, SdnOutOfBandProtectsLsWithoutMarksOrTcRules) {
   auto base = quick_config(40, false);
   auto sdn = quick_config(40, true);
   sdn.sdn_out_of_band = true;
-  sdn.cross_layer_config.tc_priority = false;
-  sdn.cross_layer_config.dscp_tagging = false;
-  sdn.cross_layer_config.priority_routing = false;
-  const auto base_result = workload::run_elibrary_experiment(base);
-  const auto sdn_result = workload::run_elibrary_experiment(sdn);
+  sdn.cross_layer->tc_priority = false;
+  sdn.cross_layer->dscp_tagging = false;
+  sdn.cross_layer->priority_routing = false;
+  const auto base_result = workload::run_elibrary_scenario(base);
+  const auto sdn_result = workload::run_elibrary_scenario(sdn);
   EXPECT_LT(sdn_result.ls.p99_ms, base_result.ls.p99_ms)
       << "base=" << base_result.ls.p99_ms << " sdn=" << sdn_result.ls.p99_ms;
   // The programmed qdisc moved traffic through both bands.
@@ -220,8 +215,8 @@ TEST(Integration, ComputePriorityQueuingProtectsLsAtCpuBottleneck) {
   fifo_config.app.app_priority_scheduling = false;
   auto prio_config = fifo_config;
   prio_config.app.app_priority_scheduling = true;
-  const auto fifo = workload::run_elibrary_experiment(fifo_config);
-  const auto prio = workload::run_elibrary_experiment(prio_config);
+  const auto fifo = workload::run_elibrary_scenario(fifo_config);
+  const auto prio = workload::run_elibrary_scenario(prio_config);
   EXPECT_LE(prio.ls.p99_ms, fifo.ls.p99_ms * 1.02)
       << "fifo=" << fifo.ls.p99_ms << " prio=" << prio.ls.p99_ms;
   EXPECT_GT(prio.ls.completed, 0u);
@@ -229,8 +224,8 @@ TEST(Integration, ComputePriorityQueuingProtectsLsAtCpuBottleneck) {
 }
 
 TEST(Integration, DeterministicResults) {
-  const auto a = workload::run_elibrary_experiment(quick_config(20, true));
-  const auto b = workload::run_elibrary_experiment(quick_config(20, true));
+  const auto a = workload::run_elibrary_scenario(quick_config(20, true));
+  const auto b = workload::run_elibrary_scenario(quick_config(20, true));
   EXPECT_EQ(a.ls.completed, b.ls.completed);
   EXPECT_DOUBLE_EQ(a.ls.p99_ms, b.ls.p99_ms);
   EXPECT_EQ(a.events_executed, b.events_executed);
@@ -238,9 +233,9 @@ TEST(Integration, DeterministicResults) {
 
 TEST(Integration, SeedChangesArrivalsButNotShape) {
   auto config = quick_config(30, true);
-  const auto a = workload::run_elibrary_experiment(config);
+  const auto a = workload::run_elibrary_scenario(config);
   config.seed = 1234;
-  const auto b = workload::run_elibrary_experiment(config);
+  const auto b = workload::run_elibrary_scenario(config);
   EXPECT_NE(a.events_executed, b.events_executed);
   // Different draws, same regime: completions within 25%.
   EXPECT_NEAR(static_cast<double>(a.ls.completed),

@@ -217,16 +217,12 @@ SweepResult run_fig4_sweep(int threads) {
   for (const bool cross_layer : {false, true}) {
     runner.add({{"rps", "40"}, {"cross_layer", cross_layer ? "on" : "off"}},
                [cross_layer] {
-                 ElibraryExperimentConfig config;
-                 config.ls_rps = 40;
-                 config.li_rps = 40;
+                 ElibraryScenario config = fig4_scenario(40, cross_layer);
                  config.warmup = sim::seconds(1);
                  config.duration = sim::seconds(3);
                  config.cooldown = sim::seconds(1);
                  config.seed = 42;
-                 config.cross_layer = cross_layer;
-                 return elibrary_point_metrics(
-                     run_elibrary_experiment(config));
+                 return elibrary_point_metrics(run_elibrary_scenario(config));
                });
   }
   return runner.run();
@@ -317,15 +313,12 @@ SweepResult run_overload_sweep(int threads) {
   for (const bool admission : {true, false}) {
     runner.add({{"load", "2.0x"}, {"admission", admission ? "on" : "off"}},
                [admission] {
-                 OverloadExperimentConfig config;
-                 config.load_factor = 2.0;
-                 config.admission = admission;
+                 ElibraryScenario config = overload_scenario(2.0, admission);
                  config.warmup = sim::seconds(1);
                  config.duration = sim::seconds(3);
                  config.cooldown = sim::seconds(1);
                  config.seed = 42;
-                 return overload_point_metrics(
-                     run_overload_experiment(config));
+                 return overload_point_metrics(run_elibrary_scenario(config));
                });
   }
   return runner.run();
@@ -368,18 +361,17 @@ SweepResult run_cp_chaos_sweep(int threads) {
   SweepRunner runner(options);
   for (const bool outage : {true, false}) {
     runner.add({{"outage", outage ? "on" : "off"}}, [outage] {
-      CpChaosExperimentConfig config;
+      ElibraryScenario config = cp_chaos_scenario(
+          outage, /*outage_offset=*/sim::seconds(1),
+          /*outage_duration=*/sim::seconds(6),
+          /*churn_period=*/sim::seconds(3));
       config.ls_rps = 15.0;
       config.li_rps = 5.0;
       config.warmup = sim::seconds(1);
       config.duration = sim::seconds(10);
       config.cooldown = sim::seconds(1);
-      config.outage = outage;
-      config.outage_offset = sim::seconds(1);
-      config.outage_duration = sim::seconds(6);
-      config.churn_period = sim::seconds(3);
       config.seed = 42;
-      return cp_point_metrics(run_cp_chaos_experiment(config));
+      return cp_point_metrics(run_elibrary_scenario(config));
     });
   }
   return runner.run();
@@ -428,17 +420,17 @@ SweepResult run_mtls_sweep(int threads) {
   SweepRunner runner(options);
   for (const bool mtls : {true, false}) {
     runner.add({{"mtls", mtls ? "on" : "off"}}, [mtls] {
-      MtlsExperimentConfig config;
+      // The plaintext control stays calm: storm only with mTLS.
+      ElibraryScenario config =
+          mtls_scenario(mtls, /*session_resumption=*/true, /*storm=*/mtls,
+                        /*storm_offset=*/sim::seconds(5));
       config.ls_rps = 15.0;
       config.li_rps = 5.0;
       config.warmup = sim::seconds(1);
       config.duration = sim::seconds(10);
       config.cooldown = sim::seconds(1);
-      config.mtls = mtls;
-      config.storm = mtls;  // plaintext control stays calm
-      config.storm_offset = sim::seconds(5);
       config.seed = 42;
-      return mtls_point_metrics(run_mtls_experiment(config));
+      return mtls_point_metrics(run_elibrary_scenario(config));
     });
   }
   return runner.run();
@@ -475,6 +467,90 @@ TEST(MtlsDeterminism, HandshakeStormBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(parallel.threads_used, threads);
     expect_identical_sweeps(serial, parallel);
   }
+}
+
+// Every e-library preset, at short windows, keeps the request ledger
+// closed: after the drain each request has reached exactly one terminal
+// outcome, the client pool is idle, and the LS phases partition the
+// measured window (every in-window arrival lands in exactly one phase).
+
+struct PresetCase {
+  const char* name;
+  ElibraryScenario (*make)();
+};
+
+class ScenarioConservation : public ::testing::TestWithParam<PresetCase> {};
+
+TEST_P(ScenarioConservation, EveryRequestTerminatesAndPhasesPartitionWindow) {
+  ElibraryScenario scenario = GetParam().make();
+  scenario.warmup = sim::seconds(1);
+  scenario.duration = sim::seconds(6);
+  scenario.cooldown = sim::seconds(1);
+  const ElibraryScenarioResult r = run_elibrary_scenario(scenario);
+
+  for (const RequestTally* tally : {&r.ls_requests, &r.li_requests}) {
+    EXPECT_GT(tally->sent, 0u);
+    EXPECT_EQ(tally->sent, tally->completed + tally->failed);
+  }
+  EXPECT_EQ(r.client_pending, 0u);
+
+  ASSERT_EQ(r.phases.size(), scenario.phases.size());
+  std::uint64_t scheduled = 0;
+  std::uint64_t completed = 0;
+  std::uint64_t errors = 0;
+  for (const PhaseSummary& phase : r.phases) {
+    scheduled += phase.scheduled;
+    completed += phase.completed;
+    errors += phase.errors;
+  }
+  // The LS generator's own window recorder saw every in-window arrival
+  // terminate once; the phases must account for the same set.
+  EXPECT_GT(scheduled, 0u);
+  EXPECT_EQ(scheduled, r.ls.completed + r.ls.errors);
+  EXPECT_EQ(completed, r.ls.completed);
+  EXPECT_EQ(errors, r.ls.errors);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Presets, ScenarioConservation,
+    ::testing::Values(
+        PresetCase{"fig4", [] { return fig4_scenario(40, true); }},
+        PresetCase{"chaos",
+                   [] {
+                     return chaos_scenario(false, sim::seconds(1),
+                                           sim::seconds(3));
+                   }},
+        PresetCase{"cp_chaos",
+                   [] {
+                     return cp_chaos_scenario(true, sim::seconds(1),
+                                              sim::seconds(4),
+                                              sim::seconds(2));
+                   }},
+        PresetCase{"overload", [] { return overload_scenario(2.0, true); }},
+        PresetCase{"mtls",
+                   [] {
+                     return mtls_scenario(true, true, true, sim::seconds(3));
+                   }}),
+    [](const ::testing::TestParamInfo<PresetCase>& info) {
+      return std::string(info.param.name);
+    });
+
+// A malformed numeric harness flag exits 2 and names the flag instead of
+// silently running the default sweep.
+TEST(HarnessFlagsDeathTest, MalformedNumericFlagExitsTwoNamingIt) {
+  for (const char* arg : {"--duration=1O", "--threads=x", "--tolerance=1e",
+                          "--seed=4two"}) {
+    SCOPED_TRACE(arg);
+    const char* argv[] = {"bench", arg};
+    const std::string flag =
+        std::string(arg).substr(0, std::string(arg).find('='));
+    EXPECT_EXIT(parse_harness_flags(2, argv, "test", 15, 42),
+                ::testing::ExitedWithCode(2), "malformed value for " + flag);
+  }
+  const char* argv[] = {"bench", "--duration=7", "--seed=9"};
+  const HarnessOptions options = parse_harness_flags(3, argv, "test", 15, 42);
+  EXPECT_EQ(options.duration_s, 7);
+  EXPECT_EQ(options.seed, 9u);
 }
 
 TEST(SweepRunner, ResultsArriveInInputOrderAndReportIsStable) {
@@ -530,13 +606,11 @@ TEST(SweepRunnerSpeedup, ParallelSweepBeatsSerial) {
   const auto build = [](SweepRunner& runner) {
     for (int i = 0; i < 8; ++i) {
       runner.add({{"i", std::to_string(i)}}, [i] {
-        ElibraryExperimentConfig config;
-        config.ls_rps = 30;
-        config.li_rps = 30;
+        ElibraryScenario config = fig4_scenario(30, /*cross_layer=*/false);
         config.warmup = sim::seconds(1);
         config.duration = sim::seconds(2);
         config.seed = 42 + static_cast<std::uint64_t>(i);
-        return elibrary_point_metrics(run_elibrary_experiment(config));
+        return elibrary_point_metrics(run_elibrary_scenario(config));
       });
     }
   };
