@@ -12,9 +12,8 @@
 #include <memory>
 #include <vector>
 
-#include "app/microservice.h"
+#include "app/mesh_builder.h"
 #include "core/priority.h"
-#include "mesh/control_plane.h"
 #include "stats/table.h"
 #include "workload/bench_harness.h"
 #include "workload/generator.h"
@@ -33,33 +32,30 @@ RunResult run_once(bool priority_scheduling, double ls_rps, double li_rps,
                    sim::Duration duration, std::uint64_t seed) {
   http::reset_request_id_counter();
   sim::Simulator sim;
-  cluster::Cluster cluster(sim);
-  cluster.add_node("node-a");
-  cluster::Pod& client_pod = cluster.add_pod("node-a", "client", "client", 0);
-  cluster::Pod& server_pod =
-      cluster.add_pod("node-a", "server-v1", "server", 8080);
-
-  mesh::ControlPlane control_plane(sim, cluster);
-  control_plane.tracer().set_retention(0);
-  control_plane.inject_sidecar(client_pod, {});
-  control_plane.inject_sidecar(server_pod, {});
-  control_plane.start();
-
-  app::MicroserviceOptions options;
-  options.max_concurrency = 4;
-  options.priority_scheduling = priority_scheduling;
-  app::Microservice server(
-      sim, server_pod,
-      [](const http::HttpRequest& request) {
-        app::HandlerResult plan;
-        const bool batch =
-            request.headers.get_or(http::headers::kMeshPriority, "") == "low";
-        plan.processing_delay =
-            batch ? sim::milliseconds(40) : sim::milliseconds(2);
-        plan.response_bytes = batch ? 16 * 1024 : 1024;
-        return plan;
-      },
-      options);
+  cluster::MeshSpec mesh_spec;
+  mesh_spec.nodes = {"node-a"};
+  cluster::ServiceSpec client_service;  // traffic source: sidecar, no app
+  client_service.name = "client";
+  client_service.port = 0;
+  cluster::ServiceSpec server;
+  server.name = "server";
+  server.port = 8080;
+  server.handler = [](const http::HttpRequest& request) {
+    app::HandlerResult plan;
+    const bool batch =
+        request.headers.get_or(http::headers::kMeshPriority, "") == "low";
+    plan.processing_delay =
+        batch ? sim::milliseconds(40) : sim::milliseconds(2);
+    plan.response_bytes = batch ? 16 * 1024 : 1024;
+    return plan;
+  };
+  server.app.max_concurrency = 4;
+  server.app.priority_scheduling = priority_scheduling;
+  mesh_spec.services = {client_service, server};
+  const std::unique_ptr<cluster::BuiltMesh> mesh =
+      cluster::MeshBuilder(sim).build(std::move(mesh_spec));
+  mesh->control_plane().tracer().set_retention(0);
+  cluster::Pod& client_pod = *mesh->pod("client-v1");
 
   mesh::HttpClientPool::Options pool_options;
   pool_options.max_connections = 1024;
@@ -95,7 +91,7 @@ RunResult run_once(bool priority_scheduling, double ls_rps, double li_rps,
   return RunResult{ls_gen.recorder().p50_ms(), ls_gen.recorder().p99_ms(),
                    li_gen.recorder().p50_ms(), li_gen.recorder().p99_ms(),
                    ls_gen.recorder().count(), li_gen.recorder().count(),
-                   server.max_admission_queue_seen(),
+                   mesh->microservices().front()->max_admission_queue_seen(),
                    ls_gen.recorder().histogram()};
 }
 
@@ -105,8 +101,10 @@ int main(int argc, char** argv) {
   const workload::HarnessOptions options = workload::parse_harness_flags(
       argc, argv, "compute_priority", /*default_duration_s=*/20,
       /*default_seed=*/7, {"ls-rps", "li-rps"});
-  const double ls_rps = options.flags.get_double_or("ls-rps", 100.0);
-  const double li_rps = options.flags.get_double_or("li-rps", 85.0);
+  const double ls_rps =
+      workload::double_flag_or_exit(options.flags, "ls-rps", 100.0);
+  const double li_rps =
+      workload::double_flag_or_exit(options.flags, "li-rps", 85.0);
   const auto duration = sim::seconds(options.duration_s);
   const auto seed = options.seed;
 

@@ -12,8 +12,7 @@
 #include <map>
 #include <vector>
 
-#include "app/microservice.h"
-#include "mesh/control_plane.h"
+#include "app/mesh_builder.h"
 #include "stats/table.h"
 #include "workload/bench_harness.h"
 #include "workload/generator.h"
@@ -33,38 +32,34 @@ RunResult run_once(mesh::LbPolicy policy, double rps, sim::Duration duration,
                    std::uint64_t seed) {
   http::reset_request_id_counter();
   sim::Simulator sim;
-  cluster::Cluster cluster(sim);
-  cluster.add_node("node-a");
-  cluster::Pod& client_pod = cluster.add_pod("node-a", "client", "client", 0);
-
-  std::vector<cluster::Pod*> replicas;
+  cluster::MeshSpec mesh_spec;
+  mesh_spec.nodes = {"node-a"};
+  mesh_spec.policies.default_lb = policy;
+  cluster::ServiceSpec client_service;  // traffic source: sidecar, no app
+  client_service.name = "client";
+  client_service.port = 0;
+  cluster::ServiceSpec server;
+  server.name = "server";
+  server.replicas = 3;
+  server.port = 8080;
   for (int i = 1; i <= 3; ++i) {
     cluster::PodOptions options;
     options.labels = {{"weight", i == 3 ? "1" : "10"}};  // for WRR
-    replicas.push_back(&cluster.add_pod(
-        "node-a", "server-v" + std::to_string(i), "server", 8080, options));
+    server.replica_options.push_back(options);
   }
-
-  mesh::MeshPolicies policies;
-  policies.default_lb = policy;
-  mesh::ControlPlane control_plane(sim, cluster, policies);
-  control_plane.tracer().set_retention(0);
-  control_plane.inject_sidecar(client_pod, {});
-  for (cluster::Pod* pod : replicas) control_plane.inject_sidecar(*pod, {});
-  control_plane.start();
-
-  std::vector<std::unique_ptr<app::Microservice>> apps;
-  for (std::size_t i = 0; i < replicas.size(); ++i) {
-    const bool slow = i == 2;  // server-v3 is the straggler
-    apps.push_back(std::make_unique<app::Microservice>(
-        sim, *replicas[i], [slow](const http::HttpRequest&) {
-          app::HandlerResult plan;
-          plan.processing_delay =
-              slow ? sim::milliseconds(20) : sim::milliseconds(2);
-          plan.response_bytes = 2048;
-          return plan;
-        }));
-  }
+  server.handler = [](const http::HttpRequest&) {
+    app::HandlerResult plan;
+    plan.processing_delay = sim::milliseconds(2);
+    plan.response_bytes = 2048;
+    return plan;
+  };
+  mesh_spec.services = {client_service, server};
+  const std::unique_ptr<cluster::BuiltMesh> mesh =
+      cluster::MeshBuilder(sim).build(std::move(mesh_spec));
+  mesh->control_plane().tracer().set_retention(0);
+  cluster::Pod& client_pod = *mesh->pod("client-v1");
+  // server-v3 is the straggler: every request it serves takes 10x longer.
+  mesh->pod("server-v3")->set_compute_multiplier(10.0);
 
   mesh::HttpClientPool::Options options;
   options.max_connections = 512;
@@ -90,12 +85,12 @@ RunResult run_once(mesh::LbPolicy policy, double rps, sim::Duration duration,
                    gen.recorder().mean_ms(), gen.recorder().count(),
                    gen.recorder().errors(), {},
                    gen.recorder().histogram()};
-  for (cluster::Pod* pod : replicas) {
-    // The app's own served-request counter is the ground truth.
-    result.per_replica[pod->name()] = 0;
-  }
-  for (std::size_t i = 0; i < replicas.size(); ++i) {
-    result.per_replica[replicas[i]->name()] = apps[i]->requests_served();
+  // The app's own served-request counter is the ground truth; the builder
+  // instantiates one app per server replica, in replica order.
+  const std::vector<std::string> pods =
+      cluster::service_pod_names(mesh->spec().services.back());
+  for (std::size_t i = 0; i < pods.size(); ++i) {
+    result.per_replica[pods[i]] = mesh->microservices()[i]->requests_served();
   }
   return result;
 }
@@ -106,7 +101,7 @@ int main(int argc, char** argv) {
   const workload::HarnessOptions options = workload::parse_harness_flags(
       argc, argv, "lb_policies", /*default_duration_s=*/20,
       /*default_seed=*/7, {"rps"});
-  const double rps = options.flags.get_double_or("rps", 300.0);
+  const double rps = workload::double_flag_or_exit(options.flags, "rps", 300.0);
   const auto duration = sim::seconds(options.duration_s);
   const auto seed = options.seed;
 

@@ -73,9 +73,10 @@ int main(int argc, char** argv) {
 
   const std::vector<int> sizes =
       parse_int_list(options.flags.get_or("services", "10,50,100"));
-  const int cells = static_cast<int>(options.flags.get_int_or("cells", 2));
-  const int engine_threads =
-      static_cast<int>(options.flags.get_int_or("engine-threads", 1));
+  const int cells =
+      static_cast<int>(workload::int_flag_or_exit(options.flags, "cells", 2));
+  const int engine_threads = static_cast<int>(
+      workload::int_flag_or_exit(options.flags, "engine-threads", 1));
   if (sizes.empty()) {
     std::fprintf(stderr, "--services: no arms\n");
     return 2;

@@ -60,11 +60,11 @@ int main(int argc, char** argv) {
       {"shards", "engine-threads", "require-speedup"});
 
   const int shards =
-      static_cast<int>(options.flags.get_int_or("shards", 8));
+      static_cast<int>(workload::int_flag_or_exit(options.flags, "shards", 8));
   const std::vector<int> arms = parse_int_list(
       options.flags.get_or("engine-threads", "1,2,4,8"));
   const double require_speedup =
-      options.flags.get_double_or("require-speedup", 0.0);
+      workload::double_flag_or_exit(options.flags, "require-speedup", 0.0);
   if (arms.empty()) {
     std::fprintf(stderr, "--engine-threads: no arms\n");
     return 2;

@@ -13,10 +13,10 @@
 // parallel with bit-identical results.
 
 #include <cstdio>
+#include <memory>
 #include <vector>
 
-#include "app/microservice.h"
-#include "mesh/control_plane.h"
+#include "app/mesh_builder.h"
 #include "stats/table.h"
 #include "workload/bench_harness.h"
 #include "workload/generator.h"
@@ -35,27 +35,39 @@ RunResult run_once(bool meshed, double rps, sim::Duration duration,
                    std::uint64_t seed) {
   http::reset_request_id_counter();
   sim::Simulator sim;
-  cluster::Cluster cluster(sim);
-  cluster.add_node("node-a");
-  cluster::Pod& client_pod =
-      cluster.add_pod("node-a", "client", "client", 0);
-  cluster::Pod& server_pod =
-      cluster.add_pod("node-a", "server-v1", "server", 8080);
-
-  mesh::ControlPlane control_plane(sim, cluster);
-  control_plane.tracer().set_retention(0);
-  if (meshed) {
-    control_plane.inject_sidecar(client_pod, {});
-    control_plane.inject_sidecar(server_pod, {});
-    control_plane.start();
-  }
-
-  app::Microservice server(sim, server_pod, [](const http::HttpRequest&) {
+  // Meshed: both pods are service replicas with sidecars. Direct: the
+  // same two pods (same order, so same IPs) outside the mesh, with the
+  // server app attached by hand.
+  cluster::MeshSpec mesh_spec;
+  mesh_spec.nodes = {"node-a"};
+  const auto serve = [](const http::HttpRequest&) {
     app::HandlerResult plan;
     plan.processing_delay = 0;  // isolate proxy + network cost
     plan.response_bytes = 1024;
     return plan;
-  });
+  };
+  if (meshed) {
+    cluster::ServiceSpec client_service;  // traffic source: sidecar, no app
+    client_service.name = "client";
+    client_service.port = 0;
+    cluster::ServiceSpec server;
+    server.name = "server";
+    server.port = 8080;
+    server.handler = serve;
+    mesh_spec.services = {client_service, server};
+  } else {
+    mesh_spec.external_pods = {{"client", "", {}}, {"server-v1", "", {}}};
+    mesh_spec.start_control_plane = false;
+  }
+  const std::unique_ptr<cluster::BuiltMesh> mesh =
+      cluster::MeshBuilder(sim).build(std::move(mesh_spec));
+  mesh->control_plane().tracer().set_retention(0);
+  cluster::Pod& client_pod = *mesh->pod(meshed ? "client-v1" : "client");
+  cluster::Pod& server_pod = *mesh->pod("server-v1");
+  std::unique_ptr<app::Microservice> direct_server;
+  if (!meshed) {
+    direct_server = std::make_unique<app::Microservice>(sim, server_pod, serve);
+  }
 
   // Meshed mode: requests enter through the client pod's outbound sidecar
   // listener, exactly as a meshed app's traffic would. Direct mode:
@@ -93,7 +105,7 @@ int main(int argc, char** argv) {
   const workload::HarnessOptions options = workload::parse_harness_flags(
       argc, argv, "sidecar_overhead", /*default_duration_s=*/30,
       /*default_seed=*/7, {"rps"});
-  const double rps = options.flags.get_double_or("rps", 200.0);
+  const double rps = workload::double_flag_or_exit(options.flags, "rps", 200.0);
   const auto duration = sim::seconds(options.duration_s);
   const auto seed = options.seed;
 

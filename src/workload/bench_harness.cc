@@ -165,6 +165,19 @@ double success_rate(const WorkloadSummary& summary) {
   return total > 0 ? static_cast<double>(summary.completed) / total : 1.0;
 }
 
+/// Scheduler profile. Deterministic (pure functions of the config, like
+/// every other counter here), so safe in compared baselines, and
+/// determinism witnesses for the event-loop internals.
+void add_engine_counters(PointMetrics& metrics, const sim::LoopStats& loop) {
+  metrics.counters["engine_scheduled"] = loop.scheduled;
+  metrics.counters["engine_cancelled"] = loop.cancelled;
+  metrics.counters["engine_wheel_pushes"] = loop.wheel_pushes;
+  metrics.counters["engine_heap_pushes"] = loop.heap_pushes;
+  metrics.counters["engine_due_merges"] = loop.due_merges;
+  metrics.counters["engine_task_heap_allocs"] = loop.task_heap_allocs;
+  metrics.counters["engine_max_queue_depth"] = loop.max_queue_depth;
+}
+
 /// Per-phase LS goodput, success rate and latency, keyed by phase name.
 void add_phases(PointMetrics& metrics, const ElibraryScenarioResult& result) {
   for (const PhaseSummary& phase : result.phases) {
@@ -189,17 +202,7 @@ PointMetrics elibrary_point_metrics(const ElibraryScenarioResult& result) {
   metrics.scalars["bottleneck_utilization"] = result.bottleneck_utilization;
   metrics.counters["bottleneck_drops"] = result.bottleneck_drops;
   metrics.counters["events"] = result.events_executed;
-  // Scheduler profile. Deterministic (pure functions of the config, like
-  // every other counter here), so they are safe in compared baselines and
-  // double as determinism witnesses for the event-loop internals.
-  const sim::LoopStats& loop = result.loop_stats;
-  metrics.counters["engine_scheduled"] = loop.scheduled;
-  metrics.counters["engine_cancelled"] = loop.cancelled;
-  metrics.counters["engine_wheel_pushes"] = loop.wheel_pushes;
-  metrics.counters["engine_heap_pushes"] = loop.heap_pushes;
-  metrics.counters["engine_due_merges"] = loop.due_merges;
-  metrics.counters["engine_task_heap_allocs"] = loop.task_heap_allocs;
-  metrics.counters["engine_max_queue_depth"] = loop.max_queue_depth;
+  add_engine_counters(metrics, result.loop_stats);
   metrics.histograms["ls_latency_ns"] = result.ls_latency;
   metrics.histograms["li_latency_ns"] = result.li_latency;
   metrics.snapshot = result.metrics;
@@ -343,14 +346,7 @@ PointMetrics parsim_point_metrics(const ParsimExperimentResult& result) {
   metrics.counters["engine_messages"] = result.engine.messages;
   metrics.counters["engine_mailbox_overflows"] =
       result.engine.mailbox_overflows;
-  const sim::LoopStats& loop = result.loop_stats;
-  metrics.counters["engine_scheduled"] = loop.scheduled;
-  metrics.counters["engine_cancelled"] = loop.cancelled;
-  metrics.counters["engine_wheel_pushes"] = loop.wheel_pushes;
-  metrics.counters["engine_heap_pushes"] = loop.heap_pushes;
-  metrics.counters["engine_due_merges"] = loop.due_merges;
-  metrics.counters["engine_task_heap_allocs"] = loop.task_heap_allocs;
-  metrics.counters["engine_max_queue_depth"] = loop.max_queue_depth;
+  add_engine_counters(metrics, result.loop_stats);
   return metrics;
 }
 
