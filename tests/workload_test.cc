@@ -538,6 +538,8 @@ INSTANTIATE_TEST_SUITE_P(
 // A malformed numeric harness flag exits 2 and names the flag instead of
 // silently running the default sweep.
 TEST(HarnessFlagsDeathTest, MalformedNumericFlagExitsTwoNamingIt) {
+  // Re-exec instead of fork: earlier suites in this binary start threads.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   for (const char* arg : {"--duration=1O", "--threads=x", "--tolerance=1e",
                           "--seed=4two"}) {
     SCOPED_TRACE(arg);
