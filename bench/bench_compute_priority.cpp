@@ -102,9 +102,9 @@ int main(int argc, char** argv) {
       argc, argv, "compute_priority", /*default_duration_s=*/20,
       /*default_seed=*/7, {"ls-rps", "li-rps"});
   const double ls_rps =
-      workload::double_flag_or_exit(options.flags, "ls-rps", 100.0);
+      util::double_flag_or_exit(options.flags, "ls-rps", 100.0);
   const double li_rps =
-      workload::double_flag_or_exit(options.flags, "li-rps", 85.0);
+      util::double_flag_or_exit(options.flags, "li-rps", 85.0);
   const auto duration = sim::seconds(options.duration_s);
   const auto seed = options.seed;
 

@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
   const workload::HarnessOptions options = workload::parse_harness_flags(
       argc, argv, "lb_policies", /*default_duration_s=*/20,
       /*default_seed=*/7, {"rps"});
-  const double rps = workload::double_flag_or_exit(options.flags, "rps", 300.0);
+  const double rps = util::double_flag_or_exit(options.flags, "rps", 300.0);
   const auto duration = sim::seconds(options.duration_s);
   const auto seed = options.seed;
 

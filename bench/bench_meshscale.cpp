@@ -2,8 +2,8 @@
 // §13).
 //
 // Each arm builds `--cells` independent N-service meshes from one
-// generated MeshSpec (cluster::MeshBuilder) on the sharded parallel
-// engine and drives them end to end through the ingress gateway while
+// generated MeshSpec (cluster::MeshBuilder), each on its own simulator,
+// and drives them end to end through the ingress gateway while
 // one leaf endpoint is crashed, deregistered and restored mid-run. The
 // sweep scales N (--services, default 10,50,100; the paper's "thousands
 // of services" pressure test) and contrasts three control-plane
@@ -18,13 +18,12 @@
 //   * at the largest N, the delta arm's churn-window bytes must be
 //     < 25% of the full-snapshot arm's (single-endpoint churn);
 //   * the delta arm's post-churn reconvergence must not regress vs the
-//     full arm (both must reconverge at all);
-//   * the smallest arm re-runs at 1 and 2 engine threads and the whole
-//     metrics block must be bit-identical.
+//     full arm (both must reconverge at all).
+// Bit-identity across sweep thread counts is the harness's --threads
+// guarantee, gated by CI's --threads=0 baseline row.
 //
 //   --services=CSV      sweep sizes (default 10,50,100; try 250)
-//   --cells=N           independent mesh replicas = engine shards
-//   --engine-threads=N  worker threads for the sweep arms (default 1)
+//   --cells=N           independent mesh replicas
 
 #include <algorithm>
 #include <cstdio>
@@ -38,26 +37,6 @@ using namespace meshnet;
 
 namespace {
 
-std::vector<int> parse_int_list(const std::string& text) {
-  std::vector<int> values;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t comma = text.find(',', start);
-    const std::string item =
-        text.substr(start, comma == std::string::npos ? comma : comma - start);
-    if (!item.empty()) values.push_back(std::stoi(item));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return values;
-}
-
-bool same_metrics(const workload::PointMetrics& a,
-                  const workload::PointMetrics& b) {
-  return a.scalars == b.scalars && a.counters == b.counters &&
-         a.histograms == b.histograms && a.snapshot == b.snapshot;
-}
-
 struct Arm {
   int services = 0;
   bool delta = true;
@@ -69,18 +48,12 @@ struct Arm {
 int main(int argc, char** argv) {
   const workload::HarnessOptions options = workload::parse_harness_flags(
       argc, argv, "meshscale", /*default_duration_s=*/3, /*default_seed=*/42,
-      {"services", "cells", "engine-threads"});
+      {"services", "cells"});
 
   const std::vector<int> sizes =
-      parse_int_list(options.flags.get_or("services", "10,50,100"));
+      util::int_list_flag_or_exit(options.flags, "services", "10,50,100");
   const int cells =
-      static_cast<int>(workload::int_flag_or_exit(options.flags, "cells", 2));
-  const int engine_threads = static_cast<int>(
-      workload::int_flag_or_exit(options.flags, "engine-threads", 1));
-  if (sizes.empty()) {
-    std::fprintf(stderr, "--services: no arms\n");
-    return 2;
-  }
+      static_cast<int>(util::int_flag_or_exit(options.flags, "cells", 2));
   const int largest = *std::max_element(sizes.begin(), sizes.end());
 
   std::vector<Arm> arms;
@@ -98,7 +71,6 @@ int main(int argc, char** argv) {
     workload::MeshscaleConfig config;
     config.services = arm.services;
     config.cells = cells;
-    config.threads = engine_threads;
     config.seed = options.seed;
     config.duration = sim::seconds(options.duration_s);
     config.churn_at = config.duration * 2 / 5;
@@ -195,29 +167,6 @@ int main(int argc, char** argv) {
           sim::to_milliseconds(full_arm->churn_convergence));
       return 1;
     }
-  }
-
-  // --- acceptance: engine-thread bit-identity on the smallest arm -------
-  {
-    const Arm smallest{*std::min_element(sizes.begin(), sizes.end()), true,
-                       false};
-    workload::PointMetrics per_threads[2];
-    for (int t = 1; t <= 2; ++t) {
-      workload::MeshscaleConfig config = make_config(smallest);
-      config.threads = t;
-      config.respect_worker_budget = false;
-      per_threads[t - 1] = workload::meshscale_point_metrics(
-          workload::run_meshscale_experiment(config));
-    }
-    if (!same_metrics(per_threads[0], per_threads[1])) {
-      std::fprintf(stderr,
-                   "DETERMINISM FAILURE: metrics differ between 1 and 2 "
-                   "engine threads\n");
-      return 1;
-    }
-    std::printf("determinism: %d-service arm bit-identical at 1 and 2 "
-                "engine threads\n",
-                smallest.services);
   }
 
   stats::BenchReport report = workload::make_bench_report(

@@ -119,9 +119,9 @@ int main(int argc, char** argv) {
   const std::uint64_t seed = options.seed;
   const sim::Duration duration = sim::seconds(options.duration_s);
   const double ls_rps =
-      workload::double_flag_or_exit(options.flags, "ls-rps", base.ls_rps);
+      util::double_flag_or_exit(options.flags, "ls-rps", base.ls_rps);
   const double li_rps =
-      workload::double_flag_or_exit(options.flags, "li-rps", base.li_rps);
+      util::double_flag_or_exit(options.flags, "li-rps", base.li_rps);
 
   std::printf(
       "MTLS: plaintext vs mTLS e-library, %llds window, seed %llu\n"

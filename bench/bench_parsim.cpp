@@ -32,20 +32,6 @@ using namespace meshnet;
 
 namespace {
 
-std::vector<int> parse_int_list(const std::string& text) {
-  std::vector<int> values;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t comma = text.find(',', start);
-    const std::string item =
-        text.substr(start, comma == std::string::npos ? comma : comma - start);
-    if (!item.empty()) values.push_back(std::stoi(item));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return values;
-}
-
 bool same_metrics(const workload::PointMetrics& a,
                   const workload::PointMetrics& b) {
   return a.scalars == b.scalars && a.counters == b.counters &&
@@ -60,15 +46,11 @@ int main(int argc, char** argv) {
       {"shards", "engine-threads", "require-speedup"});
 
   const int shards =
-      static_cast<int>(workload::int_flag_or_exit(options.flags, "shards", 8));
-  const std::vector<int> arms = parse_int_list(
-      options.flags.get_or("engine-threads", "1,2,4,8"));
+      static_cast<int>(util::int_flag_or_exit(options.flags, "shards", 8));
+  const std::vector<int> arms =
+      util::int_list_flag_or_exit(options.flags, "engine-threads", "1,2,4,8");
   const double require_speedup =
-      workload::double_flag_or_exit(options.flags, "require-speedup", 0.0);
-  if (arms.empty()) {
-    std::fprintf(stderr, "--engine-threads: no arms\n");
-    return 2;
-  }
+      util::double_flag_or_exit(options.flags, "require-speedup", 0.0);
   if (options.threads != 1) {
     std::fprintf(stderr,
                  "note: PARSIM arms measure whole-machine wall clock and "

@@ -60,11 +60,11 @@ int main(int argc, char** argv) {
           sim::to_seconds(defaults.duration)),
       /*default_seed=*/defaults.seed, {"ls-rps", "li-rps", "fault-duration-s"});
   const double ls_rps =
-      workload::double_flag_or_exit(options.flags, "ls-rps", defaults.ls_rps);
+      util::double_flag_or_exit(options.flags, "ls-rps", defaults.ls_rps);
   const double li_rps =
-      workload::double_flag_or_exit(options.flags, "li-rps", defaults.li_rps);
+      util::double_flag_or_exit(options.flags, "li-rps", defaults.li_rps);
   const std::int64_t fault_duration_s =
-      workload::int_flag_or_exit(options.flags, "fault-duration-s", 10);
+      util::int_flag_or_exit(options.flags, "fault-duration-s", 10);
 
   std::printf(
       "chaos e-library: crash reviews-v1 + flap ratings-v1 for %llds, seed "

@@ -42,13 +42,13 @@ int main(int argc, char** argv) {
       {"ls-rps", "li-rps", "outage-duration-s", "churn-period-s"});
   const util::Flags& flags = options.flags;
   const double ls_rps =
-      workload::double_flag_or_exit(flags, "ls-rps", defaults.ls_rps);
+      util::double_flag_or_exit(flags, "ls-rps", defaults.ls_rps);
   const double li_rps =
-      workload::double_flag_or_exit(flags, "li-rps", defaults.li_rps);
+      util::double_flag_or_exit(flags, "li-rps", defaults.li_rps);
   const std::int64_t outage_s =
-      workload::int_flag_or_exit(flags, "outage-duration-s", 30);
+      util::int_flag_or_exit(flags, "outage-duration-s", 30);
   const std::int64_t churn_s =
-      workload::int_flag_or_exit(flags, "churn-period-s", 4);
+      util::int_flag_or_exit(flags, "churn-period-s", 4);
 
   std::printf(
       "CHAOS_CP e-library: %llds control-plane outage + reviews churn "

@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   const workload::HarnessOptions options = workload::parse_harness_flags(
       argc, argv, "elibrary_priority", /*default_duration_s=*/10,
       /*default_seed=*/42, {"rps"});
-  const double rps = workload::double_flag_or_exit(options.flags, "rps", 30.0);
+  const double rps = util::double_flag_or_exit(options.flags, "rps", 30.0);
   const auto duration = sim::seconds(options.duration_s);
   const auto seed = options.seed;
 

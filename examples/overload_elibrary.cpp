@@ -42,9 +42,9 @@ int main(int argc, char** argv) {
           sim::to_seconds(defaults.duration)),
       /*default_seed=*/defaults.seed, {"capacity-rps", "ls-rps"});
   const double capacity_rps =
-      workload::double_flag_or_exit(options.flags, "capacity-rps", 90.0);
+      util::double_flag_or_exit(options.flags, "capacity-rps", 90.0);
   const double ls_rps =
-      workload::double_flag_or_exit(options.flags, "ls-rps", defaults.ls_rps);
+      util::double_flag_or_exit(options.flags, "ls-rps", defaults.ls_rps);
 
   std::printf(
       "overload e-library: capacity ~%.0f rps, LS fixed at %.0f rps,\n"

@@ -104,7 +104,7 @@ void Link::try_transmit() {
     if (handoff_) {
       // Cut link: the destination lives on another shard. Hand the
       // packet off at serialization-complete time with the remaining
-      // propagation; the mailbox layer delivers it there.
+      // propagation; the parallel engine delivers it there.
       handoff_(std::move(p), prop_delay_);
     } else {
       sim_.schedule_after(prop_delay_, [this, p = std::move(p)]() mutable {

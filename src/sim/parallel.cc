@@ -13,8 +13,8 @@ namespace meshnet::sim {
 
 /// Epoch barrier shared between the coordinator (the run_until caller)
 /// and the persistent workers. The mutex/condvar handoff establishes the
-/// happens-before edges that make shard state and mailbox overflow
-/// vectors safe to touch from the coordinator between epochs.
+/// happens-before edges that make shard state and outboxes safe to touch
+/// from the coordinator between epochs.
 struct ParallelEngine::Sync {
   std::mutex mutex;
   std::condition_variable start_cv;
@@ -35,10 +35,6 @@ ParallelEngine::ParallelEngine(ParallelEngineOptions options)
   shards_.resize(static_cast<std::size_t>(options_.shards));
   for (Shard& shard : shards_) {
     shard.sim = std::make_unique<Simulator>();
-  }
-  mailboxes_.reserve(shards_.size() * shards_.size());
-  for (std::size_t i = 0; i < shards_.size() * shards_.size(); ++i) {
-    mailboxes_.push_back(std::make_unique<Mailbox>(options_.mailbox_capacity));
   }
 
   int requested = util::ThreadPool::resolve_thread_count(options_.threads);
@@ -76,16 +72,8 @@ void ParallelEngine::post(int src, int dst, Time when, InlineTask task) {
         "window (cut-link latency shorter than the configured lookahead, "
         "or a zero-latency cross-shard path)");
   }
-  Message message{when, source.next_send_seq++, std::move(task)};
-  Mailbox& box = mailbox(src, dst);
-  if (!box.ring.try_push(message)) {
-    // Ring full: spill producer-side. Nothing drains the ring until the
-    // barrier, so every later message this epoch lands behind it in the
-    // overflow — per-producer order is preserved. The spill is counted at
-    // the barrier (post() runs concurrently across workers; stats_ is
-    // coordinator-owned).
-    box.overflow.push_back(std::move(message));
-  }
+  source.outbox.push_back(
+      Message{when, static_cast<std::uint32_t>(dst), std::move(task)});
 }
 
 void ParallelEngine::run_shard_range(int first, int last, Time horizon) {
@@ -96,8 +84,7 @@ void ParallelEngine::run_shard_range(int first, int last, Time horizon) {
   }
 }
 
-void ParallelEngine::worker_loop(int worker_index, int first_shard,
-                                 int last_shard) {
+void ParallelEngine::worker_loop(int first_shard, int last_shard) {
   std::uint64_t seen = 0;
   for (;;) {
     Time horizon;
@@ -120,7 +107,6 @@ void ParallelEngine::worker_loop(int worker_index, int first_shard,
       --sync_->remaining;
     }
     sync_->done_cv.notify_all();
-    (void)worker_index;
   }
 }
 
@@ -134,7 +120,7 @@ void ParallelEngine::start_workers() {
     const int first = shards * executor / executors_;
     const int last = shards * (executor + 1) / executors_;
     workers_.emplace_back(
-        [this, executor, first, last] { worker_loop(executor, first, last); });
+        [this, first, last] { worker_loop(first, last); });
   }
 }
 
@@ -163,28 +149,16 @@ void ParallelEngine::run_epoch(Time horizon) {
 
 void ParallelEngine::inject_messages(Time horizon) {
   batch_.clear();
-  const int shards = shard_count();
-  for (int src = 0; src < shards; ++src) {
-    for (int dst = 0; dst < shards; ++dst) {
-      Mailbox& box = mailbox(src, dst);
-      Message message;
-      while (box.ring.try_pop(message)) {
-        batch_.push_back(PendingDelivery{message.when,
-                                         static_cast<std::uint32_t>(src),
-                                         message.seq,
-                                         static_cast<std::uint32_t>(dst),
-                                         std::move(message.task)});
-      }
-      stats_.mailbox_overflows += box.overflow.size();
-      for (Message& spilled : box.overflow) {
-        batch_.push_back(PendingDelivery{spilled.when,
-                                         static_cast<std::uint32_t>(src),
-                                         spilled.seq,
-                                         static_cast<std::uint32_t>(dst),
-                                         std::move(spilled.task)});
-      }
-      box.overflow.clear();
+  for (std::size_t src = 0; src < shards_.size(); ++src) {
+    std::vector<Message>& outbox = shards_[src].outbox;
+    for (std::size_t seq = 0; seq < outbox.size(); ++seq) {
+      Message& message = outbox[seq];
+      batch_.push_back(PendingDelivery{message.when,
+                                       static_cast<std::uint32_t>(src),
+                                       message.dst, seq,
+                                       std::move(message.task)});
     }
+    outbox.clear();  // keeps its capacity for the next epoch
   }
   // Canonical cross-shard order: (time, source shard, send sequence).
   // The key is unique per source, so destinations assign their internal
@@ -198,7 +172,7 @@ void ParallelEngine::inject_messages(Time horizon) {
   for (PendingDelivery& delivery : batch_) {
     if (delivery.when <= horizon) {
       throw std::logic_error(
-          "ParallelEngine: mailbox message due inside the epoch that "
+          "ParallelEngine: cross-shard message due inside the epoch that "
           "produced it — lookahead is larger than the actual cut-link "
           "latency");
     }

@@ -6,10 +6,11 @@
 // The topology is partitioned into S shards, each owning one unmodified
 // zero-alloc Simulator (DESIGN.md §7) and all state of the services,
 // links and timers assigned to it. Cross-shard interactions are only
-// allowed through bounded SPSC mailboxes (one per ordered shard pair):
-// the sender posts a task stamped with its delivery time, which must be
-// at least `lookahead` after the sender's clock — in mesh terms, the
-// propagation latency of the cut link the event is crossing.
+// allowed through post(), which appends to the source shard's outbox (one
+// vector per shard, written only by the thread running that shard): the
+// sender stamps the task with its destination and delivery time, which
+// must be at least `lookahead` after the sender's clock — in mesh terms,
+// the propagation latency of the cut link the event is crossing.
 //
 // Epoch protocol (run_until):
 //   1. T      = min over shards of next_event_time()    (global min).
@@ -18,9 +19,11 @@
 //      shared state, one executor thread per shard group. Any event it
 //      executes has time t in [T, E], so any cross-shard message it
 //      emits is delivered at t + lookahead > E: never inside this epoch.
-//   4. Barrier. The coordinator drains every mailbox, sorts the batch by
-//      the canonical (delivery time, source shard, send sequence) key,
-//      and schedules each task into its destination shard in that order.
+//   4. Barrier. The coordinator walks the outboxes in source order, sorts
+//      the batch by the canonical (delivery time, source shard, send
+//      sequence) key, and schedules each task into its destination shard
+//      in that order. Outboxes are only read after the barrier, so they
+//      need no synchronization of their own.
 //   5. Repeat until no shard holds an event at or before the deadline.
 //
 // Determinism: epoch horizons are pure functions of simulator state,
@@ -44,7 +47,6 @@
 #include "sim/inline_task.h"
 #include "sim/loop_stats.h"
 #include "sim/simulator.h"
-#include "sim/spsc_ring.h"
 #include "sim/time.h"
 
 namespace meshnet::sim {
@@ -68,16 +70,11 @@ struct ParallelEngineOptions {
   /// Opt out of the shared worker budget (top-level benchmarks that are
   /// explicitly measuring N-thread wall clock set this to false).
   bool respect_worker_budget = true;
-
-  /// Ring slots per ordered shard pair; bursts past this spill to an
-  /// unbounded producer-side overflow (counted, still deterministic).
-  std::size_t mailbox_capacity = 256;
 };
 
 struct ParallelEngineStats {
-  std::uint64_t epochs = 0;             ///< barrier rounds executed
-  std::uint64_t messages = 0;           ///< cross-shard tasks delivered
-  std::uint64_t mailbox_overflows = 0;  ///< posts that spilled past the ring
+  std::uint64_t epochs = 0;    ///< barrier rounds executed
+  std::uint64_t messages = 0;  ///< cross-shard tasks delivered
 };
 
 class ParallelEngine {
@@ -126,49 +123,37 @@ class ParallelEngine {
   const ParallelEngineStats& stats() const noexcept { return stats_; }
 
  private:
+  /// A cross-shard task waiting in its source shard's outbox.
   struct Message {
     Time when = 0;
-    std::uint64_t seq = 0;  ///< per-source-shard send sequence
+    std::uint32_t dst = 0;
     InlineTask task;
   };
 
-  /// One ordered shard pair's mailbox. The ring is the fast path; the
-  /// overflow vector (producer-owned, drained after the ring at each
-  /// barrier so per-producer order is preserved) keeps bursts correct.
-  struct Mailbox {
-    explicit Mailbox(std::size_t capacity) : ring(capacity) {}
-    SpscRing<Message> ring;
-    std::vector<Message> overflow;
-  };
-
-  struct Shard {
+  /// Cache-line aligned so executors appending to neighbouring shards'
+  /// outboxes do not share a line.
+  struct alignas(64) Shard {
     std::unique_ptr<Simulator> sim;
-    std::uint64_t next_send_seq = 1;
+    std::vector<Message> outbox;  ///< this epoch's posts, in send order
   };
 
   /// Flattened batch entry used for the canonical barrier sort.
   struct PendingDelivery {
     Time when;
     std::uint32_t src;
-    std::uint64_t seq;
     std::uint32_t dst;
+    std::size_t seq;  ///< position in the source's outbox
     InlineTask task;
   };
-
-  Mailbox& mailbox(int src, int dst) {
-    return *mailboxes_[static_cast<std::size_t>(src) * shards_.size() +
-                       static_cast<std::size_t>(dst)];
-  }
 
   void run_shard_range(int first, int last, Time horizon);
   void run_epoch(Time horizon);
   void inject_messages(Time horizon);
   void start_workers();
-  void worker_loop(int worker_index, int first_shard, int last_shard);
+  void worker_loop(int first_shard, int last_shard);
 
   ParallelEngineOptions options_;
   std::vector<Shard> shards_;
-  std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   ParallelEngineStats stats_;
   std::vector<PendingDelivery> batch_;  ///< reused barrier scratch
 

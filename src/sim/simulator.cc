@@ -13,7 +13,7 @@ void Simulator::throw_cross_shard_access() const {
   throw std::logic_error(
       "sim::Simulator: schedule/cancel on a simulator other than the "
       "shard armed on this thread — cross-shard events must go through "
-      "ParallelEngine::post (mailboxes), never direct scheduling");
+      "ParallelEngine::post, never direct scheduling");
 }
 
 namespace {

@@ -1,8 +1,11 @@
 #include "util/flags.h"
 
 #include <algorithm>
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
+#include <type_traits>
 
 #include "util/strings.h"
 
@@ -134,6 +137,64 @@ std::string Flags::validate(
     error += "duplicate flag --" + name;
   }
   return error;
+}
+
+namespace {
+
+[[noreturn]] void exit_malformed(std::string_view name,
+                                 std::string_view value) {
+  std::fprintf(stderr, "malformed value for --%.*s: '%.*s'\n",
+               static_cast<int>(name.size()), name.data(),
+               static_cast<int>(value.size()), value.data());
+  std::exit(2);
+}
+
+/// strtoll/strtod over the whole value; exits 2 naming the flag when any
+/// of it does not parse.
+template <typename T>
+T numeric_flag_or_exit(const Flags& flags, std::string_view name,
+                       T fallback) {
+  const std::optional<std::string> value = flags.get(name);
+  if (!value) return fallback;
+  char* end = nullptr;
+  errno = 0;
+  T parsed;
+  if constexpr (std::is_integral_v<T>) {
+    parsed = std::strtoll(value->c_str(), &end, 10);
+  } else {
+    parsed = std::strtod(value->c_str(), &end);
+  }
+  if (end == value->c_str() || *end != '\0' || errno == ERANGE) {
+    exit_malformed(name, *value);
+  }
+  return parsed;
+}
+
+}  // namespace
+
+std::int64_t int_flag_or_exit(const Flags& flags, std::string_view name,
+                              std::int64_t fallback) {
+  return numeric_flag_or_exit(flags, name, fallback);
+}
+
+double double_flag_or_exit(const Flags& flags, std::string_view name,
+                           double fallback) {
+  return numeric_flag_or_exit(flags, name, fallback);
+}
+
+std::vector<int> int_list_flag_or_exit(const Flags& flags,
+                                       std::string_view name,
+                                       std::string_view fallback) {
+  const std::string text = flags.get_or(name, fallback);
+  std::vector<int> values;
+  for (const std::string_view entry : split(text, ',')) {
+    const std::optional<std::uint64_t> value = parse_u64(trim(entry));
+    if (!value || *value > static_cast<std::uint64_t>(INT_MAX)) {
+      exit_malformed(name, text);
+    }
+    values.push_back(static_cast<int>(*value));
+  }
+  return values;
 }
 
 }  // namespace meshnet::util

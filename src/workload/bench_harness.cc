@@ -1,9 +1,6 @@
 #include "workload/bench_harness.h"
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
-#include <type_traits>
 
 namespace meshnet::workload {
 
@@ -12,43 +9,6 @@ namespace meshnet::workload {
 // across the gcc/clang matrix; MSVC is not a supported toolchain here.
 __attribute__((weak)) std::uint64_t bench_allocation_count() noexcept {
   return 0;
-}
-
-namespace {
-
-/// strtoll/strtod over the whole value; exits 2 naming the flag when any
-/// of it does not parse.
-template <typename T>
-T numeric_flag_or_exit(const util::Flags& flags, std::string_view name,
-                       T fallback) {
-  const std::optional<std::string> value = flags.get(name);
-  if (!value) return fallback;
-  char* end = nullptr;
-  errno = 0;
-  T parsed;
-  if constexpr (std::is_integral_v<T>) {
-    parsed = std::strtoll(value->c_str(), &end, 10);
-  } else {
-    parsed = std::strtod(value->c_str(), &end);
-  }
-  if (end == value->c_str() || *end != '\0' || errno == ERANGE) {
-    std::fprintf(stderr, "malformed value for --%.*s: '%s'\n",
-                 static_cast<int>(name.size()), name.data(), value->c_str());
-    std::exit(2);
-  }
-  return parsed;
-}
-
-}  // namespace
-
-std::int64_t int_flag_or_exit(const util::Flags& flags, std::string_view name,
-                              std::int64_t fallback) {
-  return numeric_flag_or_exit(flags, name, fallback);
-}
-
-double double_flag_or_exit(const util::Flags& flags, std::string_view name,
-                           double fallback) {
-  return numeric_flag_or_exit(flags, name, fallback);
 }
 
 HarnessOptions parse_harness_flags(
@@ -63,15 +23,17 @@ HarnessOptions parse_harness_flags(
   HarnessOptions options;
   options.flags = util::Flags::parse_or_die(argc, argv, known, extra_prefixes);
   const util::Flags& flags = options.flags;
-  options.threads = static_cast<int>(int_flag_or_exit(flags, "threads", 1));
+  options.threads =
+      static_cast<int>(util::int_flag_or_exit(flags, "threads", 1));
   options.json_out = options.flags.get_or("json-out", "");
   if (options.json_out == "true") {  // bare --json-out
     options.json_out = "BENCH_" + std::string(experiment) + ".json";
   }
   options.baseline = options.flags.get_or("baseline", "");
-  options.tolerance = double_flag_or_exit(flags, "tolerance", 1e-9);
-  options.duration_s = int_flag_or_exit(flags, "duration", default_duration_s);
-  options.seed = static_cast<std::uint64_t>(int_flag_or_exit(
+  options.tolerance = util::double_flag_or_exit(flags, "tolerance", 1e-9);
+  options.duration_s =
+      util::int_flag_or_exit(flags, "duration", default_duration_s);
+  options.seed = static_cast<std::uint64_t>(util::int_flag_or_exit(
       flags, "seed", static_cast<std::int64_t>(default_seed)));
   return options;
 }
@@ -344,8 +306,6 @@ PointMetrics parsim_point_metrics(const ParsimExperimentResult& result) {
       static_cast<std::uint64_t>(result.lookahead);
   metrics.counters["engine_epochs"] = result.engine.epochs;
   metrics.counters["engine_messages"] = result.engine.messages;
-  metrics.counters["engine_mailbox_overflows"] =
-      result.engine.mailbox_overflows;
   add_engine_counters(metrics, result.loop_stats);
   return metrics;
 }
@@ -393,12 +353,10 @@ PointMetrics meshscale_point_metrics(const MeshscaleExperimentResult& result) {
       result.sidecars > 0 ? static_cast<double>(result.endpoint_entries) /
                                 static_cast<double>(result.sidecars)
                           : 0.0;
-  // Shape + engine surface (thread-invariant for a fixed cell count).
+  // Shape.
   metrics.counters["services"] = static_cast<std::uint64_t>(result.services);
   metrics.counters["cells"] = static_cast<std::uint64_t>(result.cells);
   metrics.counters["events"] = result.events_executed;
-  metrics.counters["engine_epochs"] = result.engine.epochs;
-  metrics.counters["engine_messages"] = result.engine.messages;
   return metrics;
 }
 

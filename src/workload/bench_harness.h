@@ -52,14 +52,6 @@ HarnessOptions parse_harness_flags(
     const std::vector<std::string_view>& extra_flags = {},
     const std::vector<std::string_view>& extra_prefixes = {});
 
-/// Strict numeric flag readers for bench-specific flags: `fallback` when
-/// the flag is absent, exit 2 naming the flag when its value does not
-/// parse in full (util::Flags::get_*_or would silently fall back).
-std::int64_t int_flag_or_exit(const util::Flags& flags, std::string_view name,
-                              std::int64_t fallback);
-double double_flag_or_exit(const util::Flags& flags, std::string_view name,
-                           double fallback);
-
 /// SweepOptions matching the parsed flags (progress lines on stderr).
 SweepOptions sweep_options(const HarnessOptions& options);
 
@@ -105,9 +97,9 @@ PointMetrics parsim_point_metrics(const ParsimExperimentResult& result);
 /// The standard metric set for one MESHSCALE arm: workload counters and
 /// the e2e latency histogram, the control-plane push-channel surface
 /// (full/delta pushes and bytes, churn-window bytes, reconvergence),
-/// per-sidecar endpoint-table sizes, and the engine shape. Shared by
-/// bench/bench_meshscale and the determinism checks so both compare the
-/// same surface.
+/// per-sidecar endpoint-table sizes, and the run's shape (services,
+/// cells, events). Shared by bench/bench_meshscale and the
+/// MeshscaleExperiment test so both compare the same surface.
 PointMetrics meshscale_point_metrics(const MeshscaleExperimentResult& result);
 
 }  // namespace meshnet::workload

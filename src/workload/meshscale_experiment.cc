@@ -77,10 +77,11 @@ mesh::MeshPolicies make_policies(const MeshscaleConfig& config) {
   return policies;
 }
 
-/// One independent mesh replica pinned to one engine shard.
+/// One independent mesh replica on its own simulator (declared first, so
+/// it outlives the mesh and pool built against it).
 struct Cell {
+  sim::Simulator sim;
   int index = 0;
-  sim::Simulator* sim = nullptr;
   std::unique_ptr<cluster::BuiltMesh> mesh;
   std::unique_ptr<mesh::HttpClientPool> pool;
   std::unique_ptr<obs::MetricRegistry> registry;
@@ -124,7 +125,7 @@ void issue_request(Cell& cell, Cell::RootGen& root) {
   ++root.next;
 
   Cell* cell_ptr = &cell;
-  const sim::Time sent = cell.sim->now();
+  const sim::Time sent = cell.sim.now();
   cell.pool->request(
       std::move(request),
       [cell_ptr, sent](std::optional<http::HttpResponse> response,
@@ -133,7 +134,7 @@ void issue_request(Cell& cell, Cell::RootGen& root) {
         if (response && response->ok()) {
           cell_ptr->successes->inc();
           cell_ptr->latency->record(static_cast<std::uint64_t>(
-              (cell_ptr->sim->now() - sent) / sim::kMicrosecond));
+              (cell_ptr->sim.now() - sent) / sim::kMicrosecond));
         } else {
           cell_ptr->failures->inc();
         }
@@ -144,11 +145,11 @@ void schedule_next_arrival(Cell& cell, Cell::RootGen& root, double rps,
                            sim::Time end) {
   const sim::Duration gap = std::max<sim::Duration>(
       1, sim::from_seconds(root.rng.exponential(1.0 / rps)));
-  const sim::Time when = cell.sim->now() + gap;
+  const sim::Time when = cell.sim.now() + gap;
   if (when > end) return;  // arrival window closed; the run then drains
   Cell* cell_ptr = &cell;
   Cell::RootGen* root_ptr = &root;
-  cell.sim->schedule_at(when, [cell_ptr, root_ptr, rps, end] {
+  cell.sim.schedule_at(when, [cell_ptr, root_ptr, rps, end] {
     issue_request(*cell_ptr, *root_ptr);
     schedule_next_arrival(*cell_ptr, *root_ptr, rps, end);
   });
@@ -181,14 +182,7 @@ MeshscaleExperimentResult run_meshscale_experiment(
   const cluster::GenTopology topology =
       cluster::generate_layered_fanout(fanout, config.seed);
 
-  sim::ParallelEngineOptions engine_options;
-  engine_options.shards = std::max(1, config.cells);
-  // Cells never talk, so any positive lookahead is conservative; 50 ms
-  // keeps the barrier count per run in the dozens.
-  engine_options.lookahead = sim::milliseconds(50);
-  engine_options.threads = config.threads;
-  engine_options.respect_worker_budget = config.respect_worker_budget;
-  sim::ParallelEngine engine(engine_options);
+  const int cell_count = std::max(1, config.cells);
 
   cluster::TopologyMeshOptions adapter;
   adapter.replicas = std::max(1, config.replicas);
@@ -216,10 +210,9 @@ MeshscaleExperimentResult run_meshscale_experiment(
       std::max<sim::Duration>(1, config.compute_max - config.compute_min + 1);
 
   std::vector<std::unique_ptr<Cell>> cells;
-  for (int c = 0; c < engine_options.shards; ++c) {
+  for (int c = 0; c < cell_count; ++c) {
     auto cell = std::make_unique<Cell>();
     cell->index = c;
-    cell->sim = &engine.shard(c);
     cell->registry = std::make_unique<obs::MetricRegistry>();
     cell->generated = &cell->registry->counter("meshscale_requests_generated");
     cell->responses = &cell->registry->counter("meshscale_responses");
@@ -279,7 +272,7 @@ MeshscaleExperimentResult run_meshscale_experiment(
       };
     }
 
-    cluster::MeshBuilder builder(*cell->sim);
+    cluster::MeshBuilder builder(cell->sim);
     std::string error;
     cell->mesh = builder.build(std::move(spec), &error);
     if (cell->mesh == nullptr) {
@@ -292,7 +285,7 @@ MeshscaleExperimentResult run_meshscale_experiment(
     mesh::HttpClientPool::Options pool_options;
     pool_options.max_connections = 256;
     cell->pool = std::make_unique<mesh::HttpClientPool>(
-        *cell->sim, cell->mesh->pod("loadgen")->transport(),
+        cell->sim, cell->mesh->pod("loadgen")->transport(),
         cell->mesh->gateway_address(), pool_options,
         "loadgen:c" + std::to_string(c));
 
@@ -313,7 +306,7 @@ MeshscaleExperimentResult run_meshscale_experiment(
     }
     if (config.churn) {
       Cell* cell_ptr = cell.get();
-      cell->sim->schedule_at(config.churn_at, [cell_ptr, victim_pod] {
+      cell->sim.schedule_at(config.churn_at, [cell_ptr, victim_pod] {
         // Sample the channel first: everything after this instant is the
         // marginal cost of one endpoint flapping.
         cell_ptr->at_churn =
@@ -321,13 +314,13 @@ MeshscaleExperimentResult run_meshscale_experiment(
         cell_ptr->mesh->cluster().crash_pod(victim_pod);
         cell_ptr->mesh->cluster().deregister_pod(victim_pod);
       });
-      cell->sim->schedule_at(config.restore_at, [cell_ptr, victim_pod] {
+      cell->sim.schedule_at(config.restore_at, [cell_ptr, victim_pod] {
         cell_ptr->mesh->cluster().restart_pod(victim_pod);
       });
     }
   }
 
-  engine.run_until(config.duration + config.drain);
+  for (auto& cell : cells) cell->sim.run_until(config.duration + config.drain);
 
   obs::MetricRegistry merged;
   for (const auto& cell : cells) merged.merge(*cell->registry);
@@ -383,10 +376,10 @@ MeshscaleExperimentResult run_meshscale_experiment(
   }
 
   result.services = topology.service_count();
-  result.cells = engine_options.shards;
-  result.executors = engine.executor_count();
-  result.events_executed = engine.events_executed();
-  result.engine = engine.stats();
+  result.cells = cell_count;
+  for (const auto& cell : cells) {
+    result.events_executed += cell->sim.events_executed();
+  }
   return result;
 }
 

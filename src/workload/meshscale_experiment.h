@@ -2,7 +2,7 @@
 
 // The MESHSCALE experiment: N generated services built declaratively
 // (cluster::MeshSpec -> MeshBuilder) and driven end to end — gateway,
-// sidecars, apps, control plane — on the sharded parallel engine.
+// sidecars, apps, control plane.
 //
 // Where PARSIM strips the mesh away to benchmark the engine, MESHSCALE
 // keeps the whole stack and asks the control-plane scaling question from
@@ -12,12 +12,11 @@
 // endpoint subsetting remove?
 //
 // Shape: `cells` independent replicas of one N-service layered fan-out
-// mesh, one cell per engine shard. Cells never exchange messages — each
-// is a complete mesh with its own control plane and ingress gateway — so
-// for a fixed cell count the run is bit-identical at every engine thread
-// count (the same guarantee PARSIM earns with cut edges, earned here by
-// construction). Cells differ only in their arrival streams; together
-// they model independent availability zones running the same topology.
+// mesh, each on its own sim::Simulator. Cells never exchange messages —
+// each is a complete mesh with its own control plane and ingress gateway
+// — so they are built in cell order and then simulated one after
+// another. Cells differ only in their arrival streams; together they
+// model independent availability zones running the same topology.
 //
 // Mid-run, one replica of the last (leaf) service is crashed and
 // deregistered, then restored: single-endpoint churn, the dominant
@@ -29,7 +28,7 @@
 // Determinism rules (same spirit as PARSIM):
 //   * every request carries a workload-assigned fixed-format
 //     x-request-id, so the sidecars' thread_local fallback id generator
-//     is never consulted;
+//     is never consulted and a sweep may run arms on any thread;
 //   * per-visit app think time is a hash of (seed, cell, service, path),
 //     not a draw from a shared stream;
 //   * each cell's arrival process owns a named RNG stream.
@@ -38,7 +37,6 @@
 
 #include "mesh/control_plane.h"
 #include "obs/metric_registry.h"
-#include "sim/parallel.h"
 #include "sim/time.h"
 #include "stats/histogram.h"
 
@@ -48,9 +46,7 @@ struct MeshscaleConfig {
   int services = 50;   ///< generated services per cell (>= 4)
   int replicas = 2;    ///< pods per service
   int fanout = 2;      ///< call fan-out between layers
-  int cells = 2;       ///< independent mesh replicas (= engine shards)
-  int threads = 1;     ///< engine worker threads (0 = hardware concurrency)
-  bool respect_worker_budget = true;
+  int cells = 2;       ///< independent mesh replicas
 
   std::uint64_t seed = 42;
   sim::Duration duration = sim::seconds(3);  ///< arrival window
@@ -81,7 +77,7 @@ struct MeshscaleConfig {
 };
 
 struct MeshscaleExperimentResult {
-  // Workload surface — invariant across engine thread counts.
+  // Workload surface, summed over cells.
   std::uint64_t requests_generated = 0;
   std::uint64_t responses = 0;
   std::uint64_t successes = 0;
@@ -105,12 +101,10 @@ struct MeshscaleExperimentResult {
   std::uint64_t endpoint_entries = 0;
   std::uint64_t max_endpoints_per_sidecar = 0;
 
-  // Shape + engine surface (thread-invariant for a fixed cell count).
+  // Shape.
   int services = 0;
   int cells = 0;
-  int executors = 1;
-  std::uint64_t events_executed = 0;
-  sim::ParallelEngineStats engine;
+  std::uint64_t events_executed = 0;  ///< summed over the cells' simulators
 };
 
 MeshscaleExperimentResult run_meshscale_experiment(

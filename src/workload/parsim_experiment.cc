@@ -233,7 +233,7 @@ ParsimExperimentResult run_parsim_experiment(const ParsimConfig& config) {
       });
     } else {
       // Cut edge: serialize locally, then cross at serialization-complete
-      // time via the engine mailbox. Only PODs cross the thread boundary
+      // time via ParallelEngine::post. Only PODs cross the thread boundary
       // (the packet — and with it any pooled payload — dies on the
       // source shard).
       sim::ParallelEngine* engine_ptr = &engine;

@@ -93,7 +93,7 @@ struct ParsimExperimentResult {
   // count, but NOT across shard counts.
   std::uint64_t events_executed = 0;
   sim::LoopStats loop_stats;        ///< merged across shards
-  sim::ParallelEngineStats engine;  ///< epochs / messages / overflows
+  sim::ParallelEngineStats engine;  ///< epochs / messages
 };
 
 ParsimExperimentResult run_parsim_experiment(const ParsimConfig& config);

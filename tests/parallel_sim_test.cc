@@ -1,5 +1,5 @@
-// Tests for the sharded parallel engine (sim/parallel.h): the SPSC
-// mailbox ring, the shared worker budget, the cross-shard safety guard,
+// Tests for the sharded parallel engine (sim/parallel.h): the shared
+// worker budget, the cross-shard safety guard,
 // the barrier-epoch protocol's ordering rules, and the two determinism
 // properties the design stands on — thread-count invariance for a fixed
 // shard count, and shard-count invariance of the PARSIM workload surface
@@ -13,58 +13,18 @@
 #include <random>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "cluster/topology_gen.h"
 #include "sim/parallel.h"
 #include "sim/simulator.h"
-#include "sim/spsc_ring.h"
 #include "util/thread_pool.h"
 #include "workload/bench_harness.h"
 #include "workload/parsim_experiment.h"
 
 namespace meshnet {
 namespace {
-
-// ---------------------------------------------------------------- SpscRing
-
-TEST(SpscRing, PushPopFifoOrder) {
-  sim::SpscRing<int> ring(4);
-  for (int i = 0; i < 4; ++i) {
-    int v = i;
-    EXPECT_TRUE(ring.try_push(v));
-  }
-  int rejected = 99;
-  EXPECT_FALSE(ring.try_push(rejected));  // full
-  for (int i = 0; i < 4; ++i) {
-    int out = -1;
-    ASSERT_TRUE(ring.try_pop(out));
-    EXPECT_EQ(out, i);
-  }
-  int out = -1;
-  EXPECT_FALSE(ring.try_pop(out));  // empty
-}
-
-TEST(SpscRing, CapacityRoundsUpToPowerOfTwo) {
-  sim::SpscRing<int> ring(5);  // rounds to 8
-  for (int i = 0; i < 8; ++i) {
-    int v = i;
-    EXPECT_TRUE(ring.try_push(v)) << i;
-  }
-  int v = 8;
-  EXPECT_FALSE(ring.try_push(v));
-}
-
-TEST(SpscRing, InterleavedWrapAround) {
-  sim::SpscRing<int> ring(2);
-  for (int round = 0; round < 100; ++round) {
-    int v = round;
-    ASSERT_TRUE(ring.try_push(v));
-    int out = -1;
-    ASSERT_TRUE(ring.try_pop(out));
-    EXPECT_EQ(out, round);
-  }
-}
 
 // ------------------------------------------------------------ WorkerBudget
 
@@ -222,23 +182,37 @@ TEST(ParallelEngine, SameTimeDeliveriesFollowCanonicalOrder) {
   EXPECT_EQ(order, expected);
 }
 
-TEST(ParallelEngine, MailboxOverflowSpillsWithoutReordering) {
+TEST(ParallelEngine, ManyPostsArriveInWhenSrcSeqOrder) {
+  // Two sources post a burst to two destinations in one epoch, with
+  // delivery times interleaved across sources; each destination must run
+  // them in (time, src shard, send order), however many there are.
   sim::ParallelEngineOptions options;
-  options.shards = 2;
+  options.shards = 4;
   options.lookahead = 10;
-  options.mailbox_capacity = 2;
   sim::ParallelEngine engine(options);
 
-  std::vector<int> order;
-  engine.shard(0).schedule_at(1, [&engine, &order] {
-    for (int i = 0; i < 8; ++i) {
-      engine.post(0, 1, 11, [&order, i] { order.push_back(i); });
-    }
-  });
+  constexpr int kPostsPerSource = 300;
+  using Delivery = std::tuple<sim::Time, int, int>;  // (when, src, seq)
+  std::vector<Delivery> arrived[4];
+  for (const int src : {1, 0}) {
+    engine.shard(src).schedule_at(1, [&engine, &arrived, src] {
+      for (int seq = 0; seq < kPostsPerSource; ++seq) {
+        const int dst = 2 + seq % 2;
+        const sim::Time when = 11 + (seq * 7 + src) % 5;
+        engine.post(src, dst, when, [&arrived, dst, when, src, seq] {
+          arrived[dst].emplace_back(when, src, seq);
+        });
+      }
+    });
+  }
   engine.run_until(100);
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
-  EXPECT_GT(engine.stats().mailbox_overflows, 0u);
-  EXPECT_EQ(engine.stats().messages, 8u);
+
+  for (const int dst : {2, 3}) {
+    EXPECT_EQ(arrived[dst].size(), std::size_t{kPostsPerSource});
+    EXPECT_TRUE(std::is_sorted(arrived[dst].begin(), arrived[dst].end()))
+        << "dst=" << dst;
+  }
+  EXPECT_EQ(engine.stats().messages, 2u * kPostsPerSource);
 }
 
 TEST(ParallelEngine, MergedLoopStatsSumShards) {

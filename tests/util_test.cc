@@ -172,6 +172,23 @@ TEST(Flags, NumericFallbacks) {
   EXPECT_DOUBLE_EQ(parse_args({"--d=2.25"}).get_double_or("d", 0), 2.25);
 }
 
+// The strict list reader: whole non-negative ints only; anything else
+// exits 2 naming the flag.
+TEST(FlagsDeathTest, IntListRejectsMalformedEntries) {
+  // Re-exec instead of fork: other suites in this binary start threads.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EQ(int_list_flag_or_exit(parse_args({}), "arms", "1, 2,8"),
+            (std::vector<int>{1, 2, 8}));
+  EXPECT_EQ(int_list_flag_or_exit(parse_args({"--arms=4"}), "arms", "1"),
+            (std::vector<int>{4}));
+  for (const char* arg : {"--arms=1x", "--arms=2,,4", "--arms=", "--arms=-1",
+                          "--arms=3000000000"}) {
+    SCOPED_TRACE(arg);
+    EXPECT_EXIT(int_list_flag_or_exit(parse_args({arg}), "arms", "1"),
+                ::testing::ExitedWithCode(2), "malformed value for --arms");
+  }
+}
+
 TEST(Flags, HasAndGet) {
   const Flags flags = parse_args({"--present=x"});
   EXPECT_TRUE(flags.has("present"));

@@ -1,5 +1,6 @@
 // Tests for the load generators (wrk2 methodology), the latency
-// recorder, and the thread-pool sweep runner's determinism guarantee.
+// recorder, the thread-pool sweep runner's determinism guarantee, and
+// the MESHSCALE experiment.
 
 #include <gtest/gtest.h>
 
@@ -534,6 +535,33 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<PresetCase>& info) {
       return std::string(info.param.name);
     });
+
+// MESHSCALE on a small mesh: every generated request gets exactly one
+// response, the control plane reconverges after the churn, and the run
+// is a pure function of its config.
+TEST(MeshscaleExperiment, ConservesRequestsConvergesAndRepeats) {
+  MeshscaleConfig config;
+  config.services = 10;
+  config.cells = 2;
+  config.duration = sim::seconds(1);
+  config.churn_at = sim::milliseconds(400);
+  config.restore_at = sim::milliseconds(600);
+
+  const MeshscaleExperimentResult result = run_meshscale_experiment(config);
+  EXPECT_GT(result.requests_generated, 0u);
+  EXPECT_EQ(result.responses, result.requests_generated);
+  EXPECT_EQ(result.successes + result.failures, result.responses);
+  EXPECT_TRUE(result.converged);
+  EXPECT_EQ(result.cells, 2);
+
+  const PointMetrics first = meshscale_point_metrics(result);
+  const PointMetrics second =
+      meshscale_point_metrics(run_meshscale_experiment(config));
+  EXPECT_EQ(first.scalars, second.scalars);
+  EXPECT_EQ(first.counters, second.counters);
+  EXPECT_TRUE(first.histograms == second.histograms);
+  EXPECT_TRUE(first.snapshot == second.snapshot);
+}
 
 // A malformed numeric harness flag exits 2 and names the flag instead of
 // silently running the default sweep.

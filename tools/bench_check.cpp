@@ -4,11 +4,12 @@
 //               --current=BENCH_fig4.json \
 //               [--tolerance=1e-9] [--tol=ls_p99_ms=0.05 --tol=p99=0.05]
 //
-// Exit codes: 0 = within tolerance, 1 = regression/mismatch, 2 = usage or
-// I/O error. Rules are in stats/bench_report.h: every baseline point and
-// metric must exist in the current run and match within the (relative)
-// tolerance; host wall-clock and thread counts are never compared; metrics
-// added since the baseline was captured are ignored. When the baseline
+// Exit codes: 0 = within tolerance, 1 = regression/mismatch, 2 = usage
+// (including a malformed --tolerance) or I/O error. Rules are in
+// stats/bench_report.h: every baseline point and metric must exist in the
+// current run and match within the (relative) tolerance; host wall-clock
+// and thread counts are never compared; metrics added since the baseline
+// was captured are ignored. When the baseline
 // carries a top-level "metrics" block (the unified meshnet-metrics-v1
 // snapshot), its series gate too — counter values exactly at the default
 // tolerance, histogram summaries per-leaf (override with --tol=p99=...);
@@ -68,8 +69,8 @@ int main(int argc, char** argv) {
   }
 
   stats::CompareOptions options;
-  options.default_tolerance =
-      flags.get_double_or("tolerance", options.default_tolerance);
+  options.default_tolerance = util::double_flag_or_exit(
+      flags, "tolerance", options.default_tolerance);
   if (flags.has("tol") &&
       !parse_tolerances(flags.get_or("tol", ""), options.metric_tolerance)) {
     std::fprintf(stderr, "bench_check: malformed --tol (want metric=REL[,"
