@@ -29,7 +29,6 @@ class SimpleHttpServer {
   SimpleHttpServer& operator=(const SimpleHttpServer&) = delete;
 
   std::uint64_t requests_served() const noexcept { return served_; }
-  std::size_t open_sessions() const noexcept { return sessions_.size(); }
 
  private:
   struct Session {

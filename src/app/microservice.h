@@ -81,9 +81,6 @@ class Microservice {
   }
   std::uint64_t sub_requests_sent() const noexcept { return sub_sent_; }
   int in_service() const noexcept { return in_service_; }
-  std::size_t admission_queue_depth() const noexcept {
-    return admission_queue_.size();
-  }
   std::uint64_t max_admission_queue_seen() const noexcept {
     return max_queue_seen_;
   }

@@ -53,7 +53,6 @@ FilterStatus AuthorizationFilter::on_request(RequestContext& ctx) {
   if (std::find(allowed.begin(), allowed.end(), source) != allowed.end()) {
     return FilterStatus::kContinue;
   }
-  ++denied_;
   http::HttpResponse deny;
   deny.status = 403;
   deny.body = "RBAC: access denied for source '" + source + "'";

@@ -57,12 +57,9 @@ class AuthorizationFilter final : public HttpFilter {
   std::string name() const override { return "authorization"; }
   FilterStatus on_request(RequestContext& ctx) override;
 
-  std::uint64_t denied_count() const noexcept { return denied_; }
-
  private:
   std::string service_;
   const std::map<std::string, std::vector<std::string>>* policies_;
-  std::uint64_t denied_ = 0;
 };
 
 }  // namespace meshnet::mesh

@@ -94,7 +94,6 @@ class HealthChecker {
 
   void set_transition_hook(TransitionHook hook) { hook_ = std::move(hook); }
   const HealthCheckerStats& stats() const noexcept { return stats_; }
-  std::size_t target_count() const noexcept { return targets_.size(); }
 
  private:
   using Key = std::pair<std::string, std::string>;  ///< (cluster, pod)

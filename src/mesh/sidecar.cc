@@ -563,14 +563,6 @@ void Sidecar::process_request_now(std::uint64_t session_id,
         [this, session_id, ctx, direction] {
           ctx->admission_admitted = true;
           ctx->admission_dispatch_time = sim_.now();
-          if (ctx->injected_delay > 0) {
-            sim_.schedule_after(ctx->injected_delay,
-                                [this, session_id, ctx, direction]() mutable {
-                                  continue_request(session_id, std::move(ctx),
-                                                   direction);
-                                });
-            return;
-          }
           continue_request(session_id, ctx, direction);
         },
         [this, session_id, ctx, direction](ShedReason reason) {
@@ -588,35 +580,18 @@ void Sidecar::process_request_now(std::uint64_t session_id,
     return;
   }
   if (chain_result == ChainResult::kStopped) {
-    http::HttpResponse response =
-        ctx->local_response ? std::move(*ctx->local_response)
-                            : make_local_response(403, "filter denied");
-    if (!ctx->shed_reason.empty()) ++stats_.local_responses;
-    auto deliver = [this, session_id, ctx, direction,
-                    response = std::move(response)]() mutable {
-      const FilterChain& c = direction == FilterDirection::kInbound
-                                 ? inbound_chain_
-                                 : outbound_chain_;
-      c.run_response(*ctx, response);
-      respond_to_session(session_id, ctx, std::move(response));
-    };
-    // A delayed abort (fault filter) still pays the injected delay.
-    if (ctx->injected_delay > 0) {
-      sim_.schedule_after(ctx->injected_delay, std::move(deliver));
+    http::HttpResponse response;
+    if (ctx->local_response) {
+      response = std::move(*ctx->local_response);
+      ++stats_.local_responses;
     } else {
-      deliver();
+      response = make_local_response(403, "filter denied");
     }
+    chain.run_response(*ctx, response);
+    respond_to_session(session_id, ctx, std::move(response));
     return;
   }
 
-  if (ctx->injected_delay > 0) {
-    sim_.schedule_after(ctx->injected_delay,
-                        [this, session_id, ctx, direction]() mutable {
-                          continue_request(session_id, std::move(ctx),
-                                           direction);
-                        });
-    return;
-  }
   continue_request(session_id, std::move(ctx), direction);
 }
 

@@ -257,7 +257,6 @@ class Sidecar {
   FilterChain& outbound_filters() noexcept { return outbound_chain_; }
 
   const SidecarConfig& config() const noexcept { return config_; }
-  SidecarConfig& mutable_config() noexcept { return config_; }
   cluster::Pod& pod() noexcept { return pod_; }
   const cluster::Pod& pod() const noexcept { return pod_; }
   const SidecarStats& stats() const noexcept { return stats_; }

@@ -348,7 +348,6 @@ void TlsChannel::shutdown() {
   cancel_timeout();
   send_wire_ = nullptr;
   on_plaintext_ = nullptr;
-  on_established_ = nullptr;
   on_error_ = nullptr;
   state_observer_ = nullptr;
 }
@@ -538,7 +537,6 @@ void TlsChannel::become_established() {
     metrics.handshake_ns->record(
         static_cast<std::uint64_t>(sim_.now() - handshake_start_));
   }
-  if (on_established_) on_established_(resumed_);
   while (!pending_app_.empty() && !failed() && !closed_) {
     std::string data = std::move(pending_app_.front());
     pending_app_.pop_front();

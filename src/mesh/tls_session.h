@@ -291,7 +291,6 @@ class TlsChannel : public std::enable_shared_from_this<TlsChannel> {
 
   using WireSink = std::function<void(std::string)>;
   using PlaintextHandler = std::function<void(std::string_view)>;
-  using EstablishedHandler = std::function<void(bool resumed)>;
   using ErrorHandler = std::function<void(const std::string&)>;
   using StateObserver = std::function<void(State)>;
 
@@ -307,9 +306,6 @@ class TlsChannel : public std::enable_shared_from_this<TlsChannel> {
 
   void set_send_wire(WireSink sink) { send_wire_ = std::move(sink); }
   void set_on_plaintext(PlaintextHandler h) { on_plaintext_ = std::move(h); }
-  void set_on_established(EstablishedHandler h) {
-    on_established_ = std::move(h);
-  }
   /// Delivered through a zero-delay event (never re-entrantly from
   /// inside a transport callback), once at most.
   void set_on_error(ErrorHandler h) { on_error_ = std::move(h); }
@@ -392,7 +388,6 @@ class TlsChannel : public std::enable_shared_from_this<TlsChannel> {
 
   WireSink send_wire_;
   PlaintextHandler on_plaintext_;
-  EstablishedHandler on_established_;
   ErrorHandler on_error_;
   StateObserver state_observer_;
 };

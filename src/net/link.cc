@@ -1,6 +1,5 @@
 #include "net/link.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "util/logging.h"
@@ -45,10 +44,6 @@ void Link::set_up(bool up) {
     while (auto packet = qdisc_->dequeue(sim_.now())) {
       ++stats_.down_drops;
     }
-    if (pending_retry_ != sim::kInvalidEventId) {
-      sim_.cancel(pending_retry_);
-      pending_retry_ = sim::kInvalidEventId;
-    }
     MESHNET_DEBUG() << "link " << name_ << ": carrier down";
   } else {
     MESHNET_DEBUG() << "link " << name_ << ": carrier up";
@@ -73,25 +68,8 @@ double Link::utilization(sim::Time now) const noexcept {
 
 void Link::try_transmit() {
   if (transmitting_ || !up_) return;
-  if (pending_retry_ != sim::kInvalidEventId) {
-    sim_.cancel(pending_retry_);
-    pending_retry_ = sim::kInvalidEventId;
-  }
   auto packet = qdisc_->dequeue(sim_.now());
-  if (!packet) {
-    // A shaper may hold packets back even though the transmitter is idle;
-    // come back when the qdisc says a packet could be eligible.
-    if (const auto ready = qdisc_->next_ready(sim_.now())) {
-      // Guard against zero-progress spins: a qdisc that says "ready now"
-      // but dequeues nothing must be retried strictly later.
-      const sim::Time when = std::max(*ready, sim_.now() + 1);
-      pending_retry_ = sim_.schedule_at(when, [this] {
-        pending_retry_ = sim::kInvalidEventId;
-        try_transmit();
-      });
-    }
-    return;
-  }
+  if (!packet) return;
   transmitting_ = true;
   const sim::Duration tx_time =
       sim::transmission_time(packet->size_bytes(), rate_bps_);

@@ -64,11 +64,6 @@ std::optional<Packet> FifoQdisc::dequeue(sim::Time /*now*/) {
   return p;
 }
 
-std::optional<sim::Time> FifoQdisc::next_ready(sim::Time now) const {
-  if (queue_.empty()) return std::nullopt;
-  return now;
-}
-
 // -------------------------------------------------------- StrictPrio --
 
 StrictPrioQdisc::StrictPrioQdisc(int bands, Classifier classifier,
@@ -108,10 +103,6 @@ std::optional<Packet> StrictPrioQdisc::dequeue(sim::Time /*now*/) {
     return p;
   }
   return std::nullopt;
-}
-
-std::optional<sim::Time> StrictPrioQdisc::next_ready(sim::Time now) const {
-  return backlog_packets() > 0 ? std::optional<sim::Time>(now) : std::nullopt;
 }
 
 std::uint64_t StrictPrioQdisc::backlog_bytes() const noexcept {
@@ -234,10 +225,6 @@ std::optional<Packet> WeightedPrioQdisc::dequeue(sim::Time /*now*/) {
   return std::nullopt;
 }
 
-std::optional<sim::Time> WeightedPrioQdisc::next_ready(sim::Time now) const {
-  return backlog_packets() > 0 ? std::optional<sim::Time>(now) : std::nullopt;
-}
-
 std::uint64_t WeightedPrioQdisc::backlog_bytes() const noexcept {
   std::uint64_t total = 0;
   for (const Band& b : bands_) total += b.bytes;
@@ -260,79 +247,6 @@ std::uint64_t WeightedPrioQdisc::band_dequeued_bytes(int band) const {
 
 std::uint64_t WeightedPrioQdisc::band_drops(int band) const {
   return bands_.at(static_cast<std::size_t>(band)).drops;
-}
-
-// ------------------------------------------------------- TokenBucket --
-
-TokenBucketQdisc::TokenBucketQdisc(double rate_bits_per_second,
-                                   std::uint64_t burst_bytes,
-                                   std::uint64_t byte_limit)
-    : rate_bps_(rate_bits_per_second),
-      burst_bytes_(static_cast<double>(burst_bytes)),
-      byte_limit_(byte_limit),
-      tokens_(static_cast<double>(burst_bytes)) {}
-
-double TokenBucketQdisc::effective_cap() const noexcept {
-  // A head packet larger than the burst could never accumulate enough
-  // tokens under a hard cap; allow filling up to its size so oversized
-  // packets drain at the configured rate instead of deadlocking (Linux
-  // TBF rejects such configs outright; we degrade gracefully).
-  if (queue_.empty()) return burst_bytes_;
-  return std::max(burst_bytes_,
-                  static_cast<double>(queue_.front().size_bytes()));
-}
-
-void TokenBucketQdisc::refill(sim::Time now) noexcept {
-  if (now <= last_refill_) return;
-  const double elapsed_s = sim::to_seconds(now - last_refill_);
-  tokens_ = std::min(effective_cap(), tokens_ + elapsed_s * rate_bps_ / 8.0);
-  last_refill_ = now;
-}
-
-double TokenBucketQdisc::tokens_at(sim::Time now) const noexcept {
-  const double elapsed_s =
-      now > last_refill_ ? sim::to_seconds(now - last_refill_) : 0.0;
-  return std::min(effective_cap(), tokens_ + elapsed_s * rate_bps_ / 8.0);
-}
-
-bool TokenBucketQdisc::enqueue(Packet packet, sim::Time /*now*/) {
-  if (bytes_ + packet.size_bytes() > byte_limit_ && !queue_.empty()) {
-    note_drop(packet);
-    return false;
-  }
-  bytes_ += packet.size_bytes();
-  note_enqueue(packet);
-  note_backlog(bytes_);
-  queue_.push_back(std::move(packet));
-  return true;
-}
-
-std::optional<Packet> TokenBucketQdisc::dequeue(sim::Time now) {
-  if (queue_.empty()) return std::nullopt;
-  refill(now);
-  const auto need = static_cast<double>(queue_.front().size_bytes());
-  if (tokens_ < need) return std::nullopt;
-  tokens_ -= need;
-  Packet p = std::move(queue_.front());
-  queue_.pop_front();
-  bytes_ -= p.size_bytes();
-  note_dequeue(p);
-  return p;
-}
-
-std::optional<sim::Time> TokenBucketQdisc::next_ready(sim::Time now) const {
-  if (queue_.empty()) return std::nullopt;
-  const auto need = static_cast<double>(queue_.front().size_bytes());
-  const double have = tokens_at(now);
-  if (have >= need) return now;
-  const double deficit_bytes = need - have;
-  const double wait_s = deficit_bytes * 8.0 / rate_bps_;
-  // A zero/negligible refill rate makes the wait non-finite or far beyond
-  // any experiment horizon; the cap keeps from_seconds() (int64 ns) from
-  // overflowing. The head packet will never be ready.
-  constexpr double kMaxWaitS = 1e8;  // ~3 sim-years
-  if (!(wait_s < kMaxWaitS)) return std::nullopt;
-  return now + sim::from_seconds(wait_s) + 1;  // +1ns: strictly after refill
 }
 
 }  // namespace meshnet::net

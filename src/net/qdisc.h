@@ -5,10 +5,9 @@
 // These model the Linux TC machinery the paper's prototype configures: a
 // default drop-tail FIFO, a strict-priority qdisc, a *nearly-strict*
 // weighted qdisc (deficit round robin with a 95/5 quantum split — the
-// "up to 95% of bandwidth" rule the prototype installs with `tc`), and a
-// token-bucket shaper. Classification is pluggable so the cross-layer
-// TcManager can install filters that match pod IPs or DSCP marks, exactly
-// like `tc filter` rules.
+// "up to 95% of bandwidth" rule the prototype installs with `tc`).
+// Classification is pluggable so the cross-layer TcManager can install
+// filters that match pod IPs or DSCP marks, exactly like `tc filter` rules.
 
 #include <cstdint>
 #include <deque>
@@ -48,13 +47,9 @@ class Qdisc {
   /// Returns false when the packet was dropped (queue overflow).
   virtual bool enqueue(Packet packet, sim::Time now) = 0;
 
-  /// Returns the next packet to transmit, or nullopt when nothing is
-  /// eligible at `now` (empty, or a shaper is out of tokens).
+  /// Returns the next packet to transmit, or nullopt when the queue is
+  /// empty.
   virtual std::optional<Packet> dequeue(sim::Time now) = 0;
-
-  /// Earliest time a packet could become eligible, given no further
-  /// enqueues. Returns nullopt when the queue is empty.
-  virtual std::optional<sim::Time> next_ready(sim::Time now) const = 0;
 
   virtual std::uint64_t backlog_bytes() const noexcept = 0;
   virtual std::uint64_t backlog_packets() const noexcept = 0;
@@ -79,7 +74,6 @@ class FifoQdisc : public Qdisc {
 
   bool enqueue(Packet packet, sim::Time now) override;
   std::optional<Packet> dequeue(sim::Time now) override;
-  std::optional<sim::Time> next_ready(sim::Time now) const override;
   std::uint64_t backlog_bytes() const noexcept override { return bytes_; }
   std::uint64_t backlog_packets() const noexcept override {
     return queue_.size();
@@ -99,7 +93,6 @@ class StrictPrioQdisc : public Qdisc {
 
   bool enqueue(Packet packet, sim::Time now) override;
   std::optional<Packet> dequeue(sim::Time now) override;
-  std::optional<sim::Time> next_ready(sim::Time now) const override;
   std::uint64_t backlog_bytes() const noexcept override;
   std::uint64_t backlog_packets() const noexcept override;
 
@@ -130,7 +123,6 @@ class WeightedPrioQdisc : public Qdisc {
 
   bool enqueue(Packet packet, sim::Time now) override;
   std::optional<Packet> dequeue(sim::Time now) override;
-  std::optional<sim::Time> next_ready(sim::Time now) const override;
   std::uint64_t backlog_bytes() const noexcept override;
   std::uint64_t backlog_packets() const noexcept override;
 
@@ -155,37 +147,6 @@ class WeightedPrioQdisc : public Qdisc {
   /// the current turn.
   bool turn_credited_ = false;
   int clamp_band(int band) const noexcept;
-};
-
-/// Token-bucket shaper in front of a drop-tail FIFO (Linux TBF). Used by
-/// tests and by rate-limit experiments; links themselves already model
-/// serialization delay, so the shaper is for sub-line-rate policies.
-class TokenBucketQdisc : public Qdisc {
- public:
-  TokenBucketQdisc(double rate_bits_per_second, std::uint64_t burst_bytes,
-                   std::uint64_t byte_limit = 256 * 1024);
-
-  bool enqueue(Packet packet, sim::Time now) override;
-  std::optional<Packet> dequeue(sim::Time now) override;
-  std::optional<sim::Time> next_ready(sim::Time now) const override;
-  std::uint64_t backlog_bytes() const noexcept override { return bytes_; }
-  std::uint64_t backlog_packets() const noexcept override {
-    return queue_.size();
-  }
-
-  double tokens_at(sim::Time now) const noexcept;
-
- private:
-  double effective_cap() const noexcept;
-  void refill(sim::Time now) noexcept;
-
-  double rate_bps_;
-  double burst_bytes_;
-  std::uint64_t byte_limit_;
-  double tokens_;
-  sim::Time last_refill_ = 0;
-  std::uint64_t bytes_ = 0;
-  std::deque<Packet> queue_;
 };
 
 }  // namespace meshnet::net

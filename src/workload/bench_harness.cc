@@ -201,8 +201,8 @@ PointMetrics overload_point_metrics(const ElibraryScenarioResult& result) {
       result.sidecars.retries_suppressed_by_overload;
   metrics.counters["timeouts"] = result.sidecars.timeouts;
   metrics.counters["events"] = result.events_executed;
-  metrics.histograms["ls_latency_ms"] = result.ls_latency;
-  metrics.histograms["li_latency_ms"] = result.li_latency;
+  metrics.histograms["ls_latency_ns"] = result.ls_latency;
+  metrics.histograms["li_latency_ns"] = result.li_latency;
   metrics.snapshot = result.metrics;
   return metrics;
 }

@@ -20,8 +20,6 @@ sim::Duration OpenLoopGenerator::next_gap() {
       return sim::from_seconds(rng_.uniform(0.0, 2.0 * mean_s));
     case ArrivalProcess::kPoisson:
       return sim::from_seconds(rng_.exponential(mean_s));
-    case ArrivalProcess::kConstant:
-      return sim::from_seconds(mean_s);
   }
   return sim::from_seconds(mean_s);
 }
@@ -55,37 +53,6 @@ void OpenLoopGenerator::arrive(sim::Time scheduled) {
                     if (sample_observer_) {
                       sample_observer_(scheduled, sim_.now(), success);
                     }
-                  });
-}
-
-ClosedLoopGenerator::ClosedLoopGenerator(sim::Simulator& sim,
-                                         mesh::HttpClientPool& client,
-                                         WorkloadSpec spec, int concurrency)
-    : sim_(sim),
-      client_(client),
-      spec_(std::move(spec)),
-      concurrency_(concurrency),
-      recorder_(spec_.measure_start, spec_.measure_end) {}
-
-void ClosedLoopGenerator::start() {
-  for (int i = 0; i < concurrency_; ++i) issue_one();
-}
-
-void ClosedLoopGenerator::issue_one() {
-  if (sim_.now() >= spec_.end) return;
-  const sim::Time issued = sim_.now();
-  http::HttpRequest request = spec_.make_request(seq_++);
-  client_.request(std::move(request),
-                  [this, issued](std::optional<http::HttpResponse> response,
-                                 const std::string& /*error*/) {
-                    const bool success = response && response->ok();
-                    if (success) {
-                      ++completed_;
-                    } else {
-                      ++failed_;
-                    }
-                    recorder_.record(issued, sim_.now(), success);
-                    issue_one();
                   });
 }
 

@@ -64,18 +64,9 @@ SweepResult SweepRunner::run() {
   }
   pool.wait_idle();
 
-  // Aggregate strictly in input order so merges are deterministic.
+  // Merge strictly in input order so the result is deterministic.
   for (const SweepPointResult& point : result.points) {
-    for (const auto& [name, histogram] : point.metrics.histograms) {
-      auto [it, inserted] = result.merged_histograms.try_emplace(
-          name, histogram.precision_bits());
-      it->second.merge(histogram);
-    }
-    for (const auto& [name, value] : point.metrics.counters) {
-      result.merged_counters[name] += value;
-    }
     result.merged_snapshot.merge(point.metrics.snapshot);
-    result.point_wall_ms.record(point.wall_ms);
   }
   result.wall_ms = elapsed_ms(sweep_start);
   return result;

@@ -12,9 +12,8 @@
 //
 //   * results are stored in a pre-sized slot per point and assembled in
 //     input order, never in completion order;
-//   * cross-point aggregates (histogram/RunningStats merges) are computed
-//     after the join, walking points in input order, so floating-point
-//     accumulation order is fixed;
+//   * the cross-point snapshot merge runs after the join, walking points
+//     in input order, so floating-point accumulation order is fixed;
 //   * per-simulation process state (the HTTP request-id counter) is
 //     thread-local and reset by each experiment, so a point draws the
 //     same sequences it would single-threaded.
@@ -32,12 +31,10 @@
 #include "obs/metric_registry.h"
 #include "stats/bench_report.h"
 #include "stats/histogram.h"
-#include "stats/running_stats.h"
 
 namespace meshnet::workload {
 
-/// What one sweep point reports back. All maps are keyed by metric name;
-/// keys present in several points merge into SweepResult's aggregates.
+/// What one sweep point reports back. All maps are keyed by metric name.
 struct PointMetrics {
   std::map<std::string, double> scalars;           ///< e.g. "ls_p99_ms"
   std::map<std::string, std::uint64_t> counters;   ///< e.g. "events"
@@ -66,12 +63,6 @@ struct SweepResult {
   int threads_used = 1;
   double wall_ms = 0.0;  ///< host time for the whole sweep
 
-  /// Cross-point aggregates, merged in input order (deterministic):
-  /// histograms by name, counter sums by name, and the distribution of
-  /// per-point wall-clock (for harness tuning, not for comparison).
-  std::map<std::string, stats::LogHistogram> merged_histograms;
-  std::map<std::string, std::uint64_t> merged_counters;
-  stats::RunningStats point_wall_ms;
   /// Union of the points' snapshots, folded in input order (counters sum,
   /// histograms merge, gauges max) — the whole-sweep observability view.
   obs::MetricsSnapshot merged_snapshot;
@@ -97,8 +88,6 @@ class SweepRunner {
   /// Convenience: build the id from "key=value" params and add.
   void add(std::vector<std::pair<std::string, std::string>> params,
            std::function<PointMetrics()> run);
-
-  std::size_t point_count() const noexcept { return points_.size(); }
 
   /// Runs every added point across the pool, blocks until all complete,
   /// and returns assembled results. Rethrows the first exception any

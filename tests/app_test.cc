@@ -67,7 +67,7 @@ TEST_F(ServerFixture, ServesDeferredResponses) {
       [this](http::HttpRequest, SimpleHttpServer::Responder respond) {
         sim.schedule_after(sim::milliseconds(20),
                            [respond = std::move(respond)] {
-                             respond(http::HttpResponse{204});
+                             respond(http::HttpResponse{204, {}, {}});
                            });
       });
   mesh::HttpClientPool pool(sim, client_pod->transport(),
@@ -83,7 +83,7 @@ TEST_F(ServerFixture, HandlesConcurrentConnections) {
       sim, server_pod->transport(), 8080,
       [&](http::HttpRequest, SimpleHttpServer::Responder respond) {
         ++served;
-        respond(http::HttpResponse{200});
+        respond(http::HttpResponse{200, {}, {}});
       });
   mesh::HttpClientPool pool(sim, client_pod->transport(),
                             {server_pod->ip(), 8080}, {});

@@ -166,8 +166,8 @@ TEST(Message, StatusText) {
   EXPECT_EQ(status_text(200), "OK");
   EXPECT_EQ(status_text(503), "Service Unavailable");
   EXPECT_EQ(status_text(418), "Unknown");
-  EXPECT_TRUE(HttpResponse{204}.ok());
-  EXPECT_FALSE(HttpResponse{500}.ok());
+  EXPECT_TRUE((HttpResponse{204, {}, {}}.ok()));
+  EXPECT_FALSE((HttpResponse{500, {}, {}}.ok()));
 }
 
 TEST(Codec, SerializeRequestBasics) {

@@ -233,7 +233,9 @@ TEST(LoadBalancer, WrrSmoothness) {
   std::string last;
   for (int i = 0; i < 10; ++i) {
     const std::string now = lb.pick(c, ctx)->pod_name;
-    if (!last.empty()) EXPECT_NE(now, last);
+    if (!last.empty()) {
+      EXPECT_NE(now, last);
+    }
     last = now;
   }
 }
@@ -625,6 +627,15 @@ TEST_F(MeshFixture, AuthorizationDeniesUnlistedSource) {
   const auto response = get("server", "/secret");
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(response->status, 403);
+  // The filter-supplied 403 counts as a local reply, and the response
+  // filters still ran on it: the inbound span closed, not as an error.
+  EXPECT_EQ(server_sidecars_[0]->stats().local_responses, 1u);
+  const obs::Labels server = {{"service", "server"}};
+  const obs::MetricRegistry& metrics = control_plane_->metrics();
+  ASSERT_NE(metrics.find_counter("spans_total", server), nullptr);
+  EXPECT_EQ(metrics.find_counter("spans_total", server)->value(), 1u);
+  ASSERT_NE(metrics.find_counter("span_errors_total", server), nullptr);
+  EXPECT_EQ(metrics.find_counter("span_errors_total", server)->value(), 0u);
 }
 
 TEST_F(MeshFixture, AuthorizationAllowsListedSource) {

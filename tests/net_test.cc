@@ -167,13 +167,6 @@ TEST(FifoQdisc, StatsTrackBytes) {
   EXPECT_EQ(q.backlog_bytes(), 90u);
 }
 
-TEST(FifoQdisc, NextReady) {
-  FifoQdisc q(1 << 20);
-  EXPECT_FALSE(q.next_ready(5).has_value());
-  q.enqueue(make_packet(10), 5);
-  EXPECT_EQ(q.next_ready(5).value(), 5);
-}
-
 TEST(StrictPrioQdisc, HighBandAlwaysFirst) {
   StrictPrioQdisc q(2, classify_by_dscp());
   q.enqueue(make_packet(100, Dscp::kScavenger), 0);
@@ -268,28 +261,6 @@ TEST(WeightedPrioQdisc, DropsPerBand) {
   EXPECT_EQ(q.band_drops(1), 0u);
 }
 
-TEST(TokenBucketQdisc, ShapesToRate) {
-  // 8 Mbps = 1 byte/us. A 1000-byte packet needs 1040 us of tokens.
-  TokenBucketQdisc q(8e6, 100, 1 << 20);  // tiny burst
-  q.enqueue(make_packet(1000), 0);
-  EXPECT_FALSE(q.dequeue(0).has_value());  // not enough tokens yet
-  const auto ready = q.next_ready(0);
-  ASSERT_TRUE(ready.has_value());
-  EXPECT_GT(*ready, 0);
-  EXPECT_TRUE(q.dequeue(*ready).has_value());
-}
-
-TEST(TokenBucketQdisc, BurstAllowsImmediateDequeue) {
-  TokenBucketQdisc q(8e6, 10'000, 1 << 20);
-  q.enqueue(make_packet(1000), 0);
-  EXPECT_TRUE(q.dequeue(0).has_value());
-}
-
-TEST(TokenBucketQdisc, TokensCapAtBurst) {
-  TokenBucketQdisc q(8e9, 5000, 1 << 20);
-  EXPECT_NEAR(q.tokens_at(sim::seconds(100)), 5000.0, 1e-6);
-}
-
 TEST(Classifiers, ByDstIp) {
   const IpAddress high = make_ip(10, 244, 0, 7);
   auto c = classify_by_dst_ip(high);
@@ -352,22 +323,6 @@ TEST(Link, QdiscReplaceDropsBacklog) {
   link.set_qdisc(std::make_unique<FifoQdisc>());
   sim.run();
   EXPECT_EQ(delivered, 1);  // only the packet already on the wire
-}
-
-TEST(Link, ShapedQdiscRetries) {
-  sim::Simulator sim;
-  // Link is fast, but the token bucket inside only allows ~1 packet per
-  // 100 us; the link must keep polling next_ready.
-  Link link(sim, "l", 1e12, 0,
-            std::make_unique<TokenBucketQdisc>(8e7, 1100, 1 << 20));
-  std::vector<sim::Time> deliveries;
-  link.set_sink([&](Packet) { deliveries.push_back(sim.now()); });
-  for (int i = 0; i < 3; ++i) link.send(make_packet(960));  // 1000B each
-  sim.run();
-  ASSERT_EQ(deliveries.size(), 3u);
-  // 8e7 bps = 10 bytes/us -> 1000 bytes = 100 us between packets.
-  EXPECT_NEAR(static_cast<double>(deliveries[2] - deliveries[1]),
-              static_cast<double>(sim::microseconds(100)), 2000.0);
 }
 
 // -------------------------------------------------------------- Network --

@@ -397,13 +397,9 @@ TEST_F(TransportFixture, ConnectToClosedPortGetsRst) {
 
 TEST_F(TransportFixture, SynRetransmitsOnBlackhole) {
   build();
-  // Blackhole the forward path: replace the qdisc with a zero-capacity
-  // one after routing works (every SYN is dropped).
-  ab->set_qdisc(std::make_unique<net::FifoQdisc>(0));
-  // Even a 0-limit FIFO admits into an empty queue; use a classify-all
-  // strict qdisc with 0 limit per band... simplest: drop via a token
-  // bucket with zero rate and zero burst.
-  ab->set_qdisc(std::make_unique<net::TokenBucketQdisc>(1e-9, 0, 1));
+  // Blackhole the forward path: with its carrier down the link drops
+  // every SYN.
+  ab->set_up(false);
   Connection& client = host_a->connect({ip_b, 80});
   sim.run_until(sim::seconds(2));
   EXPECT_FALSE(client.established());

@@ -1,7 +1,7 @@
 // bench_check — diffs a bench run against a committed baseline.
 //
-//   bench_check --baseline=bench/baselines/BENCH_fig4.json \
-//               --current=BENCH_fig4.json \
+//   bench_check --baseline=bench/baselines/BENCH_fig4.json
+//               --current=BENCH_fig4.json
 //               [--tolerance=1e-9] [--tol=ls_p99_ms=0.05 --tol=p99=0.05]
 //
 // Exit codes: 0 = within tolerance, 1 = regression/mismatch, 2 = usage
