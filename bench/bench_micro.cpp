@@ -1,6 +1,7 @@
 // Component microbenchmarks (google-benchmark): the per-operation costs
 // that bound how much simulated traffic the harness can push — event
-// scheduling, qdisc enqueue/dequeue, HTTP codec, histogram recording.
+// scheduling, qdisc enqueue/dequeue, link forwarding, HTTP codec, a bulk
+// body relayed through transport, histogram recording.
 // These back DESIGN.md's methodology note that full Fig. 4 sweeps are
 // tractable on a laptop.
 //
@@ -23,11 +24,15 @@
 
 #include "http/codec.h"
 #include "mesh/telemetry.h"
+#include "net/link.h"
+#include "net/network.h"
 #include "net/payload.h"
 #include "net/qdisc.h"
 #include "obs/metric_registry.h"
 #include "sim/simulator.h"
 #include "stats/histogram.h"
+#include "transport/connection.h"
+#include "transport/transport_host.h"
 #include "workload/bench_harness.h"
 
 using namespace meshnet;
@@ -218,8 +223,8 @@ static void BM_FifoQdisc(benchmark::State& state) {
   net::Packet packet;
   packet.payload = net::Payload::filled(1400, 'x');
   for (auto _ : state) {
-    qdisc.enqueue(packet, 0);
-    benchmark::DoNotOptimize(qdisc.dequeue(0));
+    qdisc.enqueue(packet);
+    benchmark::DoNotOptimize(qdisc.dequeue());
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -235,14 +240,99 @@ static void BM_WeightedPrioQdisc(benchmark::State& state) {
   low.dscp = net::Dscp::kScavenger;
   low.payload = high.payload;
   for (auto _ : state) {
-    qdisc.enqueue(high, 0);
-    qdisc.enqueue(low, 0);
-    benchmark::DoNotOptimize(qdisc.dequeue(0));
-    benchmark::DoNotOptimize(qdisc.dequeue(0));
+    qdisc.enqueue(high);
+    qdisc.enqueue(low);
+    benchmark::DoNotOptimize(qdisc.dequeue());
+    benchmark::DoNotOptimize(qdisc.dequeue());
   }
   state.SetItemsProcessed(state.iterations() * 2);
 }
 BENCHMARK(BM_WeightedPrioQdisc);
+
+// Bursts of MTU packets through one link: qdisc, serialization event,
+// propagation event, sink. The link's events capture only the link (the
+// packets wait in its ring), so they never heap-allocate; what allocations
+// remain are the FIFO qdisc's deque nodes.
+static void BM_LinkForward(benchmark::State& state) {
+  constexpr int kBurst = 100;
+  sim::Simulator sim;
+  net::Link link(sim, "l", 1e9, sim::microseconds(100),
+                 std::make_unique<net::FifoQdisc>(1 << 30));
+  std::uint64_t delivered = 0;
+  link.set_sink([&](net::Packet) { ++delivered; });
+  net::Packet packet;
+  packet.payload = net::Payload::filled(1400, 'x');
+  std::uint64_t allocs = 0;
+  for (auto _ : state) {
+    const std::uint64_t before = workload::bench_allocation_count();
+    for (int i = 0; i < kBurst; ++i) link.send(packet);
+    sim.run();
+    allocs += workload::bench_allocation_count() - before;
+  }
+  benchmark::DoNotOptimize(delivered);
+  const double packets = static_cast<double>(state.iterations()) * kBurst;
+  state.SetItemsProcessed(state.iterations() * kBurst);
+  state.counters["allocs_per_packet"] =
+      benchmark::Counter(static_cast<double>(allocs) / packets);
+  state.counters["task_heap_allocs_per_packet"] = benchmark::Counter(
+      static_cast<double>(sim.loop_stats().task_heap_allocs) / packets);
+}
+BENCHMARK(BM_LinkForward);
+
+// One FIG4-sized (1.6 MB) response relayed end to end: serialize, segment
+// over a Connection across a 10 Gbps link, reassemble and parse. Arg 0
+// sends the body as a length-only tail (what the application does), arg 1
+// as real bytes: the tail costs per segment, real bytes also per byte.
+static void BM_BodyRelay(benchmark::State& state) {
+  constexpr std::size_t kBodyBytes = 1'600'000;
+  sim::Simulator sim;
+  net::Network network(sim);
+  const auto a = network.add_location("a");
+  const auto b = network.add_location("b");
+  for (const auto& [from, to] : {std::pair{a, b}, std::pair{b, a}}) {
+    network.add_link(from, to, 10e9, sim::microseconds(10),
+                     std::make_unique<net::FifoQdisc>(1 << 30));
+  }
+  const net::IpAddress ip_a = net::make_ip(10, 0, 0, 1);
+  const net::IpAddress ip_b = net::make_ip(10, 0, 0, 2);
+  network.attach_interface(ip_a, a);
+  network.attach_interface(ip_b, b);
+  transport::TransportHost host_a(sim, network, ip_a);
+  transport::TransportHost host_b(sim, network, ip_b);
+  http::HttpParser parser(http::ParserKind::kResponse);
+  std::uint64_t body_bytes = 0;
+  parser.set_on_response(
+      [&](http::HttpResponse r) { body_bytes += r.body_size(); });
+  host_b.listen(80, [&](transport::Connection& conn) {
+    conn.set_on_data([&](const net::Payload& data) {
+      parser.feed(data.view(), data.tail());
+    });
+  });
+  transport::Connection& conn = host_a.connect({ip_b, 80});
+  http::HttpResponse response;
+  response.headers.set("x-app", "ratings");
+  if (state.range(0) == 0) {
+    response.body_tail = kBodyBytes;
+  } else {
+    response.body.assign(kBodyBytes, 'x');
+  }
+  std::uint64_t allocs = 0;
+  for (auto _ : state) {
+    const std::uint64_t before = workload::bench_allocation_count();
+    conn.send(http::serialize_response(response));
+    sim.run();
+    allocs += workload::bench_allocation_count() - before;
+  }
+  if (body_bytes != kBodyBytes * state.iterations()) {
+    state.SkipWithError("relay lost body bytes");
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kBodyBytes));
+  state.counters["allocs_per_relay"] = benchmark::Counter(
+      static_cast<double>(allocs) /
+      static_cast<double>(state.iterations() > 0 ? state.iterations() : 1));
+}
+BENCHMARK(BM_BodyRelay)->ArgName("real")->Arg(0)->Arg(1);
 
 static void BM_HeaderMapGet(benchmark::State& state) {
   http::HeaderMap headers;
@@ -321,7 +411,7 @@ static void BM_HttpParseResponse(benchmark::State& state) {
   response.status = 200;
   response.headers.set("x-app", "ratings");
   response.body.assign(static_cast<std::size_t>(state.range(0)), 'x');
-  const std::string wire = http::serialize_response(response);
+  const std::string wire = http::serialize_response(response).materialize();
   http::HttpParser parser(http::ParserKind::kResponse);
   std::uint64_t parsed = 0;
   parser.set_on_response([&](http::HttpResponse) { ++parsed; });

@@ -55,7 +55,8 @@ RunResult run_once(transport::CcAlgorithm bg_cc, int bg_flows,
   // Sink: accept everything, count bytes.
   std::uint64_t bg_bytes = 0;
   host_b.listen(9000, [&](transport::Connection& conn) {
-    conn.set_on_data([&](std::string_view data) { bg_bytes += data.size(); });
+    conn.set_on_data(
+        [&](const net::Payload& data) { bg_bytes += data.size(); });
   });
 
   // Foreground receiver: track 16 KB message boundaries.
@@ -64,7 +65,7 @@ RunResult run_once(transport::CcAlgorithm bg_cc, int bg_flows,
   constexpr std::size_t kFgMessage = 16 * 1024;
   std::uint64_t fg_received = 0;
   host_b.listen(9001, [&](transport::Connection& conn) {
-    conn.set_on_data([&](std::string_view data) {
+    conn.set_on_data([&](const net::Payload& data) {
       fg_received += data.size();
       while (fg_received >= kFgMessage && !fg_send_times.empty()) {
         fg_received -= kFgMessage;

@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
                      const std::string& error) {
                    if (response) {
                      status = response->status;
-                     body_bytes = response->body.size();
+                     body_bytes = response->body_size();
                    } else {
                      std::fprintf(stderr, "request failed: %s\n",
                                   error.c_str());

@@ -21,8 +21,8 @@ SimpleHttpServer::SimpleHttpServer(sim::Simulator& sim,
     raw->parser->set_on_request([this, id](http::HttpRequest request) {
       on_request(id, std::move(request));
     });
-    conn.set_on_data([this, raw, id](std::string_view data) {
-      if (!raw->parser->feed(data)) {
+    conn.set_on_data([this, raw, id](const net::Payload& data) {
+      if (!raw->parser->feed(data.view(), data.tail())) {
         MESHNET_WARN() << "http server: parse error";
         sim_.schedule_after(0, [this, id] {
           const auto it = sessions_.find(id);

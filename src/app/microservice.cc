@@ -118,7 +118,7 @@ void Microservice::fan_out(std::shared_ptr<http::HttpRequest> request,
       response.body = "upstream dependency failed";
     } else {
       response.status = state->plan.status;
-      response.body.assign(state->body_bytes, 'x');
+      response.body_tail = state->body_bytes;
     }
     response.headers.set("x-app", pod_.service());
     state->respond(std::move(response));
@@ -153,7 +153,7 @@ void Microservice::fan_out(std::shared_ptr<http::HttpRequest> request,
           if (!response || !response->ok()) {
             state->failed = true;
           } else if (state->plan.aggregate_sub_bodies) {
-            state->body_bytes += response->body.size();
+            state->body_bytes += response->body_size();
           }
           if (--state->outstanding == 0) finish();
         });

@@ -26,34 +26,43 @@ void append_headers(std::string& out, const HeaderMap& headers,
       .append(kCrlf);
   out.append(kCrlf);
 }
+
+// Heads are built in a per-thread scratch string and copied once into the
+// payload's pooled block, so serializing does not allocate once warm.
+std::string& scratch() {
+  thread_local std::string buffer;
+  buffer.clear();
+  return buffer;
+}
+
+template <typename Message>
+net::Payload finish(std::string& out, const Message& message) {
+  append_headers(out, message.headers, message.body_size());
+  out.append(message.body);
+  return net::Payload::copy_of(out, message.body_tail);
+}
 }  // namespace
 
-std::string serialize_request(const HttpRequest& request) {
-  std::string out;
-  out.reserve(128 + request.body.size());
+net::Payload serialize_request(const HttpRequest& request) {
+  std::string& out = scratch();
   out.append(request.method)
       .append(" ")
       .append(request.path)
       .append(" ")
       .append(kHttpVersion)
       .append(kCrlf);
-  append_headers(out, request.headers, request.body.size());
-  out.append(request.body);
-  return out;
+  return finish(out, request);
 }
 
-std::string serialize_response(const HttpResponse& response) {
-  std::string out;
-  out.reserve(128 + response.body.size());
+net::Payload serialize_response(const HttpResponse& response) {
+  std::string& out = scratch();
   out.append(kHttpVersion)
       .append(" ")
       .append(std::to_string(response.status))
       .append(" ")
       .append(status_text(response.status))
       .append(kCrlf);
-  append_headers(out, response.headers, response.body.size());
-  out.append(response.body);
-  return out;
+  return finish(out, response);
 }
 
 HttpParser::HttpParser(ParserKind kind) : kind_(kind) {}
@@ -63,6 +72,7 @@ void HttpParser::reset() {
   error_ = ParserError::kNone;
   head_buffer_.clear();
   body_.clear();
+  body_tail_ = 0;
   body_expected_ = 0;
   request_ = HttpRequest{};
   response_ = HttpResponse{};
@@ -73,23 +83,28 @@ void HttpParser::fail(ParserError error) {
   error_ = error;
 }
 
-bool HttpParser::feed(std::string_view data) {
-  while (!data.empty() && state_ != State::kError) {
+bool HttpParser::feed(std::string_view data, std::size_t tail) {
+  while ((!data.empty() || tail > 0) && state_ != State::kError) {
     if (state_ == State::kHead) {
+      if (data.empty()) {
+        fail(ParserError::kTailInHead);
+        break;
+      }
       // Accumulate until the blank line ending the head. To find the
       // terminator across chunk boundaries, search the tail of the
       // buffer after appending.
-      const std::size_t scan_from =
-          head_buffer_.size() < 3 ? 0 : head_buffer_.size() - 3;
+      const std::size_t buffered = head_buffer_.size();
+      const std::size_t scan_from = buffered < 3 ? 0 : buffered - 3;
       head_buffer_.append(data);
-      data = {};
       const std::size_t end = head_buffer_.find("\r\n\r\n", scan_from);
       if (end == std::string::npos) {
+        data = {};
         if (head_buffer_.size() > kMaxHeadBytes) fail(ParserError::kHeadTooLarge);
         continue;
       }
-      // Anything after the head belongs to the body (or the next message).
-      std::string rest = head_buffer_.substr(end + 4);
+      // Anything after the head belongs to the body (or the next message)
+      // and goes round the state machine again.
+      data.remove_prefix(end + 4 - buffered);
       head_buffer_.resize(end);
       parse_head();
       if (state_ == State::kError) return false;
@@ -100,19 +115,24 @@ bool HttpParser::feed(std::string_view data) {
       } else {
         state_ = State::kBody;
       }
-      // Re-feed the remainder through the state machine.
-      if (!rest.empty()) {
-        const std::string pending = std::move(rest);
-        feed(pending);
-      }
       continue;
     }
     if (state_ == State::kBody) {
-      const std::size_t need = body_expected_ - body_.size();
-      const std::size_t take = std::min(need, data.size());
-      body_.append(data.substr(0, take));
-      data.remove_prefix(take);
-      if (body_.size() == body_expected_) {
+      const std::size_t need = body_expected_ - body_.size() - body_tail_;
+      if (!data.empty()) {
+        const std::size_t take = std::min(need, data.size());
+        // The body keeps its real bytes first: real bytes after a tail
+        // turn the tail into the 'x' bytes it stands for.
+        if (body_tail_ > 0) body_.append(std::exchange(body_tail_, 0), 'x');
+        if (body_.empty()) body_.reserve(need);
+        body_.append(data.substr(0, take));
+        data.remove_prefix(take);
+      } else {
+        const std::size_t take = std::min(need, tail);
+        body_tail_ += take;
+        tail -= take;
+      }
+      if (body_.size() + body_tail_ == body_expected_) {
         emit_message();
         state_ = State::kHead;
       }
@@ -167,7 +187,7 @@ void HttpParser::parse_head() {
     body_expected_ = static_cast<std::size_t>(*parsed);
   }
   body_.clear();
-  body_.reserve(body_expected_);
+  body_tail_ = 0;
 }
 
 bool HttpParser::parse_start_line(std::string_view line) {
@@ -203,15 +223,18 @@ void HttpParser::emit_message() {
   ++parsed_;
   if (kind_ == ParserKind::kRequest) {
     request_.body = std::move(body_);
+    request_.body_tail = body_tail_;
     body_.clear();
     if (on_request_) on_request_(std::move(request_));
     request_ = HttpRequest{};
   } else {
     response_.body = std::move(body_);
+    response_.body_tail = body_tail_;
     body_.clear();
     if (on_response_) on_response_(std::move(response_));
     response_ = HttpResponse{};
   }
+  body_tail_ = 0;
   body_expected_ = 0;
 }
 

@@ -2,12 +2,16 @@
 
 // HTTP/1.1 wire codec.
 //
-// serialize_*() produce real request/status lines and header blocks with a
-// content-length framed body. HttpParser is an incremental push parser:
-// feed it arbitrary byte chunks straight off a transport connection and it
-// emits complete messages, handling messages split across chunks and
-// multiple pipelined messages inside one chunk. Malformed input moves the
-// parser into an error state that the caller can observe and reset.
+// serialize_*() produce a wire payload: the request/status line, the
+// headers with an accurate Content-Length and the body's real bytes as
+// real bytes, then the body's tail as a length-only tail, so a megabyte
+// body serializes in O(head). HttpParser is an incremental push parser:
+// feed it arbitrary chunks straight off a transport connection (real
+// bytes, then any tail) and it emits complete messages, handling messages
+// split across chunks and multiple pipelined messages inside one chunk.
+// Tail bytes count into the body's tail; a head must be real bytes.
+// Malformed input moves the parser into an error state that the caller
+// can observe and reset.
 
 #include <cstdint>
 #include <functional>
@@ -16,11 +20,12 @@
 #include <string_view>
 
 #include "http/message.h"
+#include "net/payload.h"
 
 namespace meshnet::http {
 
-std::string serialize_request(const HttpRequest& request);
-std::string serialize_response(const HttpResponse& response);
+net::Payload serialize_request(const HttpRequest& request);
+net::Payload serialize_response(const HttpResponse& response);
 
 enum class ParserKind { kRequest, kResponse };
 
@@ -30,6 +35,7 @@ enum class ParserError {
   kBadHeader,
   kBadContentLength,
   kHeadTooLarge,
+  kTailInHead,  ///< length-only bytes where the start line or headers go
 };
 
 class HttpParser {
@@ -46,9 +52,10 @@ class HttpParser {
     on_response_ = std::move(handler);
   }
 
-  /// Consumes a chunk of bytes. Returns false once the parser is in an
-  /// error state (further input is ignored until reset()).
-  bool feed(std::string_view data);
+  /// Consumes a chunk: real `data`, then `tail` length-only bytes.
+  /// Returns false once the parser is in an error state (further input
+  /// is ignored until reset()).
+  bool feed(std::string_view data, std::size_t tail = 0);
 
   bool has_error() const noexcept { return error_ != ParserError::kNone; }
   ParserError error() const noexcept { return error_; }
@@ -80,6 +87,7 @@ class HttpParser {
   ParserError error_ = ParserError::kNone;
   std::string head_buffer_;
   std::string body_;
+  std::size_t body_tail_ = 0;
   std::size_t body_expected_ = 0;
   HttpRequest request_;
   HttpResponse response_;

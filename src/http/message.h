@@ -1,8 +1,12 @@
 #pragma once
 
-// HTTP/1.1-style request and response messages. Bodies are plain byte
-// strings; the codec (codec.h) turns messages into wire bytes and back.
+// HTTP/1.1-style request and response messages. A body is real bytes
+// (`body`) followed by `body_tail` length-only bytes that count on the
+// wire but never exist in memory (net/payload.h); bulk application
+// responses are all tail, error texts and test bodies all real. The
+// codec (codec.h) turns messages into wire payloads and back.
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -16,6 +20,9 @@ struct HttpRequest {
   std::string path = "/";
   HeaderMap headers;
   std::string body;
+  std::size_t body_tail = 0;
+
+  std::size_t body_size() const noexcept { return body.size() + body_tail; }
 
   /// Convenience accessors for the headers the mesh manipulates.
   std::string request_id() const {
@@ -30,7 +37,9 @@ struct HttpResponse {
   int status = 200;
   HeaderMap headers;
   std::string body;
+  std::size_t body_tail = 0;
 
+  std::size_t body_size() const noexcept { return body.size() + body_tail; }
   bool ok() const noexcept { return status >= 200 && status < 300; }
 };
 

@@ -118,13 +118,14 @@ HttpClientPool::Slot* HttpClientPool::create_slot() {
         on_slot_closed(conn_ptr);
       }
     });
-    conn.set_on_data([channel](std::string_view data) {
-      channel->on_wire_data(data);
+    // TLS records are real bytes: the record layer materializes tails.
+    conn.set_on_data([channel](const net::Payload& data) {
+      channel->on_wire_data(data.view());
     });
     channel->start();
   } else {
-    conn.set_on_data([raw](std::string_view data) {
-      if (!raw->parser->feed(data)) {
+    conn.set_on_data([raw](const net::Payload& data) {
+      if (!raw->parser->feed(data.view(), data.tail())) {
         MESHNET_WARN() << "http client: response parse error";
       }
     });

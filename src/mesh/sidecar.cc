@@ -374,7 +374,7 @@ void Sidecar::accept_session(transport::Connection& conn,
   raw->parser->set_on_request([this, id](http::HttpRequest req) {
     on_session_request(id, std::move(req));
   });
-  conn.set_on_data([this, raw, id, direction](std::string_view data) {
+  conn.set_on_data([this, raw, id, direction](const net::Payload& data) {
     if (!raw->sniffed) {
       // First downstream bytes decide the session's framing: a TLS
       // ClientHello record (type byte 0x01) upgrades the inbound session
@@ -382,15 +382,17 @@ void Sidecar::accept_session(transport::Connection& conn,
       // plaintext. The listener is deliberately permissive so plaintext
       // peers keep working while mTLS rolls out across config epochs.
       raw->sniffed = true;
+      const std::string_view bytes = data.view();
       if (direction == FilterDirection::kInbound && config_.tls.enabled &&
-          !data.empty() && static_cast<unsigned char>(data[0]) < 0x20) {
+          !bytes.empty() && static_cast<unsigned char>(bytes[0]) < 0x20) {
         setup_server_tls(*raw);
       }
     }
     if (raw->tls != nullptr) {
-      raw->tls->on_wire_data(data);
+      // TLS records are real bytes: the record layer materializes tails.
+      raw->tls->on_wire_data(data.view());
     } else {
-      feed_session_parser(*raw, data);
+      feed_session_parser(*raw, data.view(), data.tail());
     }
   });
   conn.set_on_closed([this, id](bool /*graceful*/) {
@@ -424,8 +426,8 @@ void Sidecar::accept_session(transport::Connection& conn,
 }
 
 void Sidecar::feed_session_parser(ServerSession& session,
-                                  std::string_view data) {
-  if (!session.parser->feed(data)) {
+                                  std::string_view data, std::size_t tail) {
+  if (!session.parser->feed(data, tail)) {
     MESHNET_WARN() << "sidecar: request parse error; resetting session";
     // Abort on a fresh simulator step: aborting here would destroy the
     // parser that is currently executing.

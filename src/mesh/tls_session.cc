@@ -94,13 +94,15 @@ bool is_known_tls_record_type(std::uint8_t type) noexcept {
   return false;
 }
 
-std::string encode_tls_record(TlsRecordType type, std::string_view body) {
-  assert(body.size() <= 0xFFFFFF && "record body exceeds u24 length");
+std::string encode_tls_record(TlsRecordType type, std::string_view body,
+                              std::size_t tail) {
+  const std::size_t body_size = body.size() + tail;
+  assert(body_size <= 0xFFFFFF && "record body exceeds u24 length");
   std::string out;
-  out.reserve(kRecordHeaderBytes + body.size());
+  out.reserve(kRecordHeaderBytes + body_size);
   append_u8(out, static_cast<std::uint8_t>(type));
-  append_u24(out, static_cast<std::uint32_t>(body.size()));
-  out.append(body);
+  append_u24(out, static_cast<std::uint32_t>(body_size));
+  out.append(body).append(tail, 'x');
   return out;
 }
 
@@ -331,12 +333,12 @@ void TlsChannel::on_wire_data(std::string_view data) {
   }
 }
 
-void TlsChannel::send_app_data(std::string data) {
+void TlsChannel::send_app_data(net::Payload data) {
   if (closed_ || failed() || data.empty()) return;
   const bool zero_rtt = role_ == Role::kClient && offered_ticket_ &&
                         state_ == State::kWaitServerHello;
   if (established() || zero_rtt) {
-    encrypt_and_send(std::move(data));
+    encrypt_and_send(data);
   } else {
     pending_app_.push_back(std::move(data));
   }
@@ -538,9 +540,9 @@ void TlsChannel::become_established() {
         static_cast<std::uint64_t>(sim_.now() - handshake_start_));
   }
   while (!pending_app_.empty() && !failed() && !closed_) {
-    std::string data = std::move(pending_app_.front());
+    const net::Payload data = std::move(pending_app_.front());
     pending_app_.pop_front();
-    encrypt_and_send(std::move(data));
+    encrypt_and_send(data);
   }
   while (!early_records_.empty() && !failed() && !closed_) {
     std::string body = std::move(early_records_.front());
@@ -549,17 +551,19 @@ void TlsChannel::become_established() {
   }
 }
 
-void TlsChannel::encrypt_and_send(std::string data) {
+void TlsChannel::encrypt_and_send(const net::Payload& data) {
   TlsMetrics& metrics = runtime_->metrics();
-  std::string_view rest = data;
-  while (!rest.empty()) {
-    const std::size_t n = std::min(rest.size(), params_->max_record_bytes);
-    const std::string_view chunk = rest.substr(0, n);
-    rest.remove_prefix(n);
+  std::size_t offset = 0;
+  while (offset < data.size()) {
+    const std::size_t n =
+        std::min(data.size() - offset, params_->max_record_bytes);
+    const net::Payload chunk = data.slice(offset, n);
+    offset += n;
     metrics.records_encrypted->inc();
     metrics.bytes_encrypted->inc(n);
-    queue_wire(encode_tls_record(TlsRecordType::kAppData, chunk),
-               aead_cost(n));
+    queue_wire(
+        encode_tls_record(TlsRecordType::kAppData, chunk.view(), chunk.tail()),
+        aead_cost(n));
   }
 }
 

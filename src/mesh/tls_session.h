@@ -38,6 +38,7 @@
 #include <string>
 #include <string_view>
 
+#include "net/payload.h"
 #include "obs/metric_registry.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
@@ -110,8 +111,11 @@ enum class TlsRecordType : std::uint8_t {
 
 bool is_known_tls_record_type(std::uint8_t type) noexcept;
 
-/// Serializes one record. `body` must fit in 24 bits.
-std::string encode_tls_record(TlsRecordType type, std::string_view body);
+/// Serializes one record whose body is `body` followed by `tail` 'x'
+/// bytes (a length-only payload tail, materialized here). The body must
+/// fit in 24 bits.
+std::string encode_tls_record(TlsRecordType type, std::string_view body,
+                              std::size_t tail = 0);
 
 /// Incremental record deframer (same feed contract as http::HttpParser):
 /// bytes in via feed(), complete records out via the handler, in order.
@@ -320,10 +324,11 @@ class TlsChannel : public std::enable_shared_from_this<TlsChannel> {
   /// Feed bytes received from the wire.
   void on_wire_data(std::string_view data);
 
-  /// Queue plaintext for the peer. Client side before establishment:
-  /// sent as 0-RTT early data when a ticket was offered, buffered until
-  /// the handshake completes otherwise.
-  void send_app_data(std::string data);
+  /// Queue plaintext for the peer; a length-only tail is written out as
+  /// 'x' bytes into the records. Client side before establishment: sent
+  /// as 0-RTT early data when a ticket was offered, buffered until the
+  /// handshake completes otherwise.
+  void send_app_data(net::Payload data);
 
   /// Detaches the channel from its owner: cancels timers, drops pending
   /// deliveries, and suppresses every callback. Idempotent.
@@ -346,7 +351,7 @@ class TlsChannel : public std::enable_shared_from_this<TlsChannel> {
   void handle_finished();
   void handle_app_data(std::string_view body);
   void become_established();
-  void encrypt_and_send(std::string data);
+  void encrypt_and_send(const net::Payload& data);
   void deliver_plaintext(std::string body);
   /// AEAD charge for one record of `body_bytes` payload.
   sim::Duration aead_cost(std::size_t body_bytes) const;
@@ -380,7 +385,7 @@ class TlsChannel : public std::enable_shared_from_this<TlsChannel> {
 
   TlsRecordParser record_parser_;
   /// Client: plaintext queued while a full handshake is in flight.
-  std::list<std::string> pending_app_;
+  std::list<net::Payload> pending_app_;
   /// Server: early-data records received before the handshake finished
   /// (a rejected-ticket client has 0-RTT data already in flight; it is
   /// processed after Finished instead of being replayed).

@@ -24,7 +24,7 @@ void Link::send(Packet packet) {
     ++stats_.loss_drops;
     return;
   }
-  if (!qdisc_->enqueue(std::move(packet), sim_.now())) {
+  if (!qdisc_->enqueue(std::move(packet))) {
     MESHNET_DEBUG() << "link " << name_ << ": qdisc drop";
   }
   try_transmit();
@@ -41,7 +41,7 @@ void Link::set_up(bool up) {
     ++stats_.carrier_losses;
     // Backlogged packets die with the carrier (the driver's TX ring is
     // flushed); the loss shows up to transports as missing ACKs.
-    while (auto packet = qdisc_->dequeue(sim_.now())) {
+    while (auto packet = qdisc_->dequeue()) {
       ++stats_.down_drops;
     }
     MESHNET_DEBUG() << "link " << name_ << ": carrier down";
@@ -68,29 +68,59 @@ double Link::utilization(sim::Time now) const noexcept {
 
 void Link::try_transmit() {
   if (transmitting_ || !up_) return;
-  auto packet = qdisc_->dequeue(sim_.now());
+  auto packet = qdisc_->dequeue();
   if (!packet) return;
   transmitting_ = true;
+  serializing_ = std::move(*packet);
   const sim::Duration tx_time =
-      sim::transmission_time(packet->size_bytes(), rate_bps_);
+      sim::transmission_time(serializing_.size_bytes(), rate_bps_);
   stats_.busy_time += tx_time;
   // Serialization finishes after tx_time; the bits arrive prop_delay later.
-  sim_.schedule_after(tx_time, [this, p = std::move(*packet)]() mutable {
-    transmitting_ = false;
-    stats_.delivered_packets += 1;
-    stats_.delivered_bytes += p.size_bytes();
-    if (handoff_) {
-      // Cut link: the destination lives on another shard. Hand the
-      // packet off at serialization-complete time with the remaining
-      // propagation; the parallel engine delivers it there.
-      handoff_(std::move(p), prop_delay_);
-    } else {
-      sim_.schedule_after(prop_delay_, [this, p = std::move(p)]() mutable {
-        if (sink_) sink_(std::move(p));
-      });
+  sim_.schedule_after(tx_time, [this] { on_serialized(); });
+}
+
+void Link::on_serialized() {
+  transmitting_ = false;
+  stats_.delivered_packets += 1;
+  stats_.delivered_bytes += serializing_.size_bytes();
+  if (handoff_) {
+    // Cut link: the destination lives on another shard. Hand the
+    // packet off at serialization-complete time with the remaining
+    // propagation; the parallel engine delivers it there.
+    handoff_(std::move(serializing_), prop_delay_);
+  } else {
+    push_propagating(std::move(serializing_));
+    sim_.schedule_after(prop_delay_, [this] { on_propagated(); });
+  }
+  try_transmit();
+}
+
+void Link::on_propagated() {
+  Packet p = pop_propagating();
+  if (sink_) sink_(std::move(p));
+}
+
+void Link::push_propagating(Packet packet) {
+  if (ring_count_ == propagating_.size()) {
+    // Full: unroll into a ring twice the size (a power of two, so
+    // indices wrap with a mask).
+    std::vector<Packet> grown(propagating_.empty() ? 4
+                                                   : 2 * propagating_.size());
+    for (std::size_t i = 0; i < ring_count_; ++i) {
+      grown[i] = std::move(propagating_[(ring_head_ + i) & ring_mask()]);
     }
-    try_transmit();
-  });
+    propagating_ = std::move(grown);
+    ring_head_ = 0;
+  }
+  propagating_[(ring_head_ + ring_count_) & ring_mask()] = std::move(packet);
+  ++ring_count_;
+}
+
+Packet Link::pop_propagating() {
+  Packet p = std::move(propagating_[ring_head_]);
+  ring_head_ = (ring_head_ + 1) & ring_mask();
+  --ring_count_;
+  return p;
 }
 
 }  // namespace meshnet::net

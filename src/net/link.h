@@ -6,10 +6,12 @@
 // priority) is what determines who gets the next transmission slot —
 // exactly where the paper's TC-based prioritization acts.
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "net/packet.h"
 #include "net/qdisc.h"
@@ -87,6 +89,18 @@ class Link {
 
  private:
   void try_transmit();
+  void on_serialized();
+  void on_propagated();
+
+  // The link's events capture only `this` and find their packet in
+  // serializing_ or in the propagation ring, so they stay inside
+  // sim::InlineTask's buffer. Propagation delay is constant and
+  // serializations complete in order, so packets arrive in push order
+  // and the ring's front is always the next to arrive. A ring, so steady
+  // state reuses its slots.
+  void push_propagating(Packet packet);
+  Packet pop_propagating();
+  std::size_t ring_mask() const noexcept { return propagating_.size() - 1; }
 
   sim::Simulator& sim_;
   std::string name_;
@@ -95,6 +109,10 @@ class Link {
   std::unique_ptr<Qdisc> qdisc_;
   std::function<void(Packet)> sink_;
   std::function<void(Packet, sim::Duration)> handoff_;
+  Packet serializing_;  ///< valid while transmitting_
+  std::vector<Packet> propagating_;  ///< ring, oldest at ring_head_
+  std::size_t ring_head_ = 0;
+  std::size_t ring_count_ = 0;
   bool transmitting_ = false;
   bool up_ = true;
   double loss_probability_ = 0.0;

@@ -1,9 +1,10 @@
 #pragma once
 
-// The simulated wire unit. Packets carry real payload bytes (the transport
-// segments actual serialized HTTP messages) plus the fields the case study
-// manipulates: a DSCP codepoint for in-band priority signalling to the
-// "physical" network (design §4.2 optimization d).
+// The simulated wire unit. Packets carry a slice of the sender's
+// serialized HTTP message (real head bytes, the body as a length-only
+// tail; see net/payload.h) plus the fields the case study manipulates: a
+// DSCP codepoint for in-band priority signalling to the "physical"
+// network (design §4.2 optimization d).
 
 #include <cstdint>
 
@@ -41,7 +42,7 @@ struct Packet {
   /// TCP MSS option: advertised on SYN so the accepting side segments its
   /// sends to match the initiator (0 = absent).
   std::uint32_t mss_option = 0;
-  Payload payload;  ///< Pooled slice; empty for pure ACKs.
+  Payload payload;  ///< Pooled slice plus tail; empty for pure ACKs.
 
   /// Receiver-side echo of the sender's one-way queueing signal, used by
   /// the LEDBAT-style scavenger controller. Carries the remote's observed

@@ -10,8 +10,9 @@ namespace meshnet::net {
 namespace {
 
 // Size classes are powers of two from 64 B (ACK-sized app messages) to
-// 64 KiB (the largest bulk responses the e-library sends are segmented
-// well below this). Larger blocks bypass the pool.
+// 64 KiB. Only real bytes take a block: HTTP heads, error texts, TLS
+// records (at most 16 KiB plus a header) and test data. Bulk bodies are
+// length-only tails and need none. Larger blocks bypass the pool.
 constexpr std::size_t kMinClassBytes = 64;
 constexpr std::size_t kMaxClassBytes = 64 * 1024;
 constexpr int kMinClassShift = 6;
@@ -102,14 +103,15 @@ void payload_pool_trim() noexcept {
   p.stats.bytes_cached = 0;
 }
 
-Payload Payload::copy_of(std::string_view bytes) {
+Payload Payload::copy_of(std::string_view bytes, std::size_t tail) {
   Payload out;
+  out.tail_ = static_cast<std::uint32_t>(tail);
   if (bytes.empty()) return out;
   Block* block = PayloadPoolAccess::acquire(bytes.size());
   std::memcpy(block->bytes(), bytes.data(), bytes.size());
   out.block_ = block;
   out.data_ = block->bytes();
-  out.size_ = static_cast<std::uint32_t>(bytes.size());
+  out.real_ = static_cast<std::uint32_t>(bytes.size());
   return out;
 }
 
@@ -120,7 +122,14 @@ Payload Payload::filled(std::size_t count, char fill) {
   std::memset(block->bytes(), fill, count);
   out.block_ = block;
   out.data_ = block->bytes();
-  out.size_ = static_cast<std::uint32_t>(count);
+  out.real_ = static_cast<std::uint32_t>(count);
+  return out;
+}
+
+std::string Payload::materialize() const {
+  std::string out;
+  out.reserve(size());
+  out.append(view()).append(tail_, 'x');
   return out;
 }
 

@@ -43,7 +43,7 @@ void Qdisc::note_backlog(std::uint64_t bytes) noexcept {
 
 FifoQdisc::FifoQdisc(std::uint64_t byte_limit) : byte_limit_(byte_limit) {}
 
-bool FifoQdisc::enqueue(Packet packet, sim::Time /*now*/) {
+bool FifoQdisc::enqueue(Packet packet) {
   if (bytes_ + packet.size_bytes() > byte_limit_ && !queue_.empty()) {
     note_drop(packet);
     return false;
@@ -55,7 +55,7 @@ bool FifoQdisc::enqueue(Packet packet, sim::Time /*now*/) {
   return true;
 }
 
-std::optional<Packet> FifoQdisc::dequeue(sim::Time /*now*/) {
+std::optional<Packet> FifoQdisc::dequeue() {
   if (queue_.empty()) return std::nullopt;
   Packet p = std::move(queue_.front());
   queue_.pop_front();
@@ -78,7 +78,7 @@ int StrictPrioQdisc::clamp_band(int band) const noexcept {
   return band > last ? last : band;
 }
 
-bool StrictPrioQdisc::enqueue(Packet packet, sim::Time /*now*/) {
+bool StrictPrioQdisc::enqueue(Packet packet) {
   Band& band = bands_[static_cast<std::size_t>(clamp_band(classifier_(packet)))];
   if (band.bytes + packet.size_bytes() > per_band_byte_limit_ &&
       !band.queue.empty()) {
@@ -93,7 +93,7 @@ bool StrictPrioQdisc::enqueue(Packet packet, sim::Time /*now*/) {
   return true;
 }
 
-std::optional<Packet> StrictPrioQdisc::dequeue(sim::Time /*now*/) {
+std::optional<Packet> StrictPrioQdisc::dequeue() {
   for (Band& band : bands_) {
     if (band.queue.empty()) continue;
     Packet p = std::move(band.queue.front());
@@ -153,7 +153,7 @@ int WeightedPrioQdisc::clamp_band(int band) const noexcept {
   return band > last ? last : band;
 }
 
-bool WeightedPrioQdisc::enqueue(Packet packet, sim::Time /*now*/) {
+bool WeightedPrioQdisc::enqueue(Packet packet) {
   Band& band = bands_[static_cast<std::size_t>(clamp_band(classifier_(packet)))];
   if (band.bytes + packet.size_bytes() > per_band_byte_limit_ &&
       !band.queue.empty()) {
@@ -168,7 +168,7 @@ bool WeightedPrioQdisc::enqueue(Packet packet, sim::Time /*now*/) {
   return true;
 }
 
-std::optional<Packet> WeightedPrioQdisc::dequeue(sim::Time /*now*/) {
+std::optional<Packet> WeightedPrioQdisc::dequeue() {
   if (backlog_packets() == 0) return std::nullopt;
   // Deficit round robin. Each band receives its quantum exactly once per
   // turn (tracked by turn_credited_) and may transmit while its deficit

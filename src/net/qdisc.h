@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "net/packet.h"
-#include "sim/time.h"
 
 namespace meshnet::net {
 
@@ -45,11 +44,11 @@ class Qdisc {
   virtual ~Qdisc() = default;
 
   /// Returns false when the packet was dropped (queue overflow).
-  virtual bool enqueue(Packet packet, sim::Time now) = 0;
+  virtual bool enqueue(Packet packet) = 0;
 
   /// Returns the next packet to transmit, or nullopt when the queue is
   /// empty.
-  virtual std::optional<Packet> dequeue(sim::Time now) = 0;
+  virtual std::optional<Packet> dequeue() = 0;
 
   virtual std::uint64_t backlog_bytes() const noexcept = 0;
   virtual std::uint64_t backlog_packets() const noexcept = 0;
@@ -72,8 +71,8 @@ class FifoQdisc : public Qdisc {
  public:
   explicit FifoQdisc(std::uint64_t byte_limit = 256 * 1024);
 
-  bool enqueue(Packet packet, sim::Time now) override;
-  std::optional<Packet> dequeue(sim::Time now) override;
+  bool enqueue(Packet packet) override;
+  std::optional<Packet> dequeue() override;
   std::uint64_t backlog_bytes() const noexcept override { return bytes_; }
   std::uint64_t backlog_packets() const noexcept override {
     return queue_.size();
@@ -91,8 +90,8 @@ class StrictPrioQdisc : public Qdisc {
   StrictPrioQdisc(int bands, Classifier classifier,
                   std::uint64_t per_band_byte_limit = 256 * 1024);
 
-  bool enqueue(Packet packet, sim::Time now) override;
-  std::optional<Packet> dequeue(sim::Time now) override;
+  bool enqueue(Packet packet) override;
+  std::optional<Packet> dequeue() override;
   std::uint64_t backlog_bytes() const noexcept override;
   std::uint64_t backlog_packets() const noexcept override;
 
@@ -121,8 +120,8 @@ class WeightedPrioQdisc : public Qdisc {
                     std::uint64_t per_band_byte_limit = 256 * 1024,
                     std::uint32_t quantum_unit_bytes = 9000);
 
-  bool enqueue(Packet packet, sim::Time now) override;
-  std::optional<Packet> dequeue(sim::Time now) override;
+  bool enqueue(Packet packet) override;
+  std::optional<Packet> dequeue() override;
   std::uint64_t backlog_bytes() const noexcept override;
   std::uint64_t backlog_packets() const noexcept override;
 

@@ -45,22 +45,22 @@ void Connection::set_mss(std::uint32_t mss) {
   if (mss > 0) options_.mss = mss;
 }
 
-void Connection::send(std::string data) {
+void Connection::send(net::Payload data) {
   if (close_requested_ || state_ == ConnState::kClosed || data.empty()) {
     return;
   }
   stats_.bytes_sent += data.size();
   host_.mutable_stats().bytes_sent += data.size();
-  // One pooled copy per send(); each MSS segment (and every retransmit)
-  // is a zero-copy slice of that block.
-  const net::Payload whole = net::Payload::copy_of(data);
+  // Each MSS segment (and every retransmit) is a zero-copy slice of the
+  // one payload block; a segment may end the real bytes and start the
+  // tail.
   std::size_t offset = 0;
   while (offset < data.size()) {
     const std::size_t len =
         std::min<std::size_t>(options_.mss, data.size() - offset);
     Segment seg;
     seg.seq = next_seq_;
-    seg.payload = whole.slice(offset, len);
+    seg.payload = data.slice(offset, len);
     next_seq_ += len;
     unsent_bytes_ += len;
     unsent_.push_back(std::move(seg));
@@ -212,13 +212,12 @@ void Connection::handle_data(const net::Packet& packet) {
     return;
   }
   // In-order (possibly partially overlapping) delivery.
-  const std::uint64_t skip = rcv_next_ - seq;
-  std::string_view view = packet.payload.view();
-  view.remove_prefix(static_cast<std::size_t>(skip));
-  rcv_next_ += view.size();
-  stats_.bytes_received += view.size();
-  host_.mutable_stats().bytes_received += view.size();
-  if (on_data_) on_data_(view);
+  const auto skip = static_cast<std::size_t>(rcv_next_ - seq);
+  const std::size_t fresh = len - skip;
+  rcv_next_ += fresh;
+  stats_.bytes_received += fresh;
+  host_.mutable_stats().bytes_received += fresh;
+  if (on_data_) on_data_(packet.payload.slice(skip, fresh));
 
   // Drain any now-contiguous out-of-order segments.
   auto it = out_of_order_.begin();
@@ -226,11 +225,11 @@ void Connection::handle_data(const net::Packet& packet) {
     const std::uint64_t oo_seq = it->first;
     const net::Payload& payload = it->second;
     if (oo_seq + payload.size() > rcv_next_) {
-      std::string_view oo_view = payload.view();
-      oo_view.remove_prefix(static_cast<std::size_t>(rcv_next_ - oo_seq));
-      rcv_next_ += oo_view.size();
-      stats_.bytes_received += oo_view.size();
-      if (on_data_) on_data_(oo_view);
+      const auto oo_skip = static_cast<std::size_t>(rcv_next_ - oo_seq);
+      const std::size_t oo_fresh = payload.size() - oo_skip;
+      rcv_next_ += oo_fresh;
+      stats_.bytes_received += oo_fresh;
+      if (on_data_) on_data_(payload.slice(oo_skip, oo_fresh));
     }
     it = out_of_order_.erase(it);
   }

@@ -65,7 +65,9 @@ struct ConnectionStats {
 
 class Connection {
  public:
-  using DataHandler = std::function<void(std::string_view)>;
+  /// In-order received bytes: a slice of the sender's payload, whose
+  /// tail (if any) is passed on length-only.
+  using DataHandler = std::function<void(const net::Payload&)>;
   using ConnectedHandler = std::function<void()>;
   /// `graceful` is true for FIN close, false for RST/abort.
   using ClosedHandler = std::function<void(bool graceful)>;
@@ -76,9 +78,12 @@ class Connection {
   Connection(const Connection&) = delete;
   Connection& operator=(const Connection&) = delete;
 
-  /// Queues payload bytes. Data sent before establishment is buffered and
-  /// flushed once the handshake completes. No-op after close().
-  void send(std::string data);
+  /// Queues payload bytes (real and tail alike). Data sent before
+  /// establishment is buffered and flushed once the handshake completes.
+  /// No-op after close().
+  void send(net::Payload data);
+  /// Copies `bytes` into one pooled block and queues it.
+  void send(std::string_view bytes) { send(net::Payload::copy_of(bytes)); }
 
   /// Graceful close: a FIN goes out once all queued data is delivered.
   void close();

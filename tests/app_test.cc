@@ -151,7 +151,7 @@ TEST_F(MicroFixture, LeafServiceResponds) {
   const auto response = call_front("/leaf");
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(response->status, 200);
-  EXPECT_EQ(response->body.size(), 100u);
+  EXPECT_EQ(response->body_size(), 100u);
   EXPECT_EQ(response->headers.get_or("x-app", ""), "front");
 }
 
@@ -169,7 +169,7 @@ TEST_F(MicroFixture, FanOutAggregatesSubResponses) {
   });
   const auto response = call_front("/agg");
   ASSERT_TRUE(response.has_value());
-  EXPECT_EQ(response->body.size(), 110u);  // 10 + 2*50
+  EXPECT_EQ(response->body_size(), 110u);  // 10 + 2*50
   EXPECT_EQ(front_app.sub_requests_sent(), 2u);
   EXPECT_EQ(back_app.requests_served(), 2u);
 }
@@ -189,7 +189,7 @@ TEST_F(MicroFixture, AggregationCanBeDisabled) {
   });
   const auto response = call_front("/no-agg");
   ASSERT_TRUE(response.has_value());
-  EXPECT_EQ(response->body.size(), 10u);
+  EXPECT_EQ(response->body_size(), 10u);
 }
 
 TEST_F(MicroFixture, SubErrorBecomes502) {
@@ -228,7 +228,7 @@ TEST_F(MicroFixture, SubErrorToleratedWhenConfigured) {
   const auto response = call_front("/tolerant");
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(response->status, 200);
-  EXPECT_EQ(response->body.size(), 33u);
+  EXPECT_EQ(response->body_size(), 33u);
 }
 
 TEST_F(MicroFixture, PropagatesRequestIdNotPriority) {
@@ -461,14 +461,14 @@ TEST_F(ElibraryFixture, LsRequestReturnsExpectedBytes) {
   const auto response = get("/product/1");
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(response->status, 200);
-  EXPECT_EQ(response->body.size(), app->expected_ls_body_bytes());
+  EXPECT_EQ(response->body_size(), app->expected_ls_body_bytes());
 }
 
 TEST_F(ElibraryFixture, LiRequestReturnsBulkBytes) {
   const auto response = get("/analytics/7");
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(response->status, 200);
-  EXPECT_EQ(response->body.size(), app->expected_li_body_bytes());
+  EXPECT_EQ(response->body_size(), app->expected_li_body_bytes());
   // With multiplier M, LI/LS = (1.75 + M) / 2.75; M=10 gives ~4.3x.
   EXPECT_GT(app->expected_li_body_bytes(),
             4 * app->expected_ls_body_bytes());

@@ -147,7 +147,7 @@ TEST_F(ClusterTest, PodsCanExchangePackets) {
   Pod& b = cluster.add_pod("n2", "b", "svc", 80);
   std::string got;
   b.transport().listen(80, [&](transport::Connection& c) {
-    c.set_on_data([&](std::string_view d) { got.append(d); });
+    c.set_on_data([&](const net::Payload& d) { got.append(d.view()); });
   });
   a.transport().connect({b.ip(), 80}).send("cross-node");
   sim.run_until(sim::seconds(2));
@@ -159,7 +159,7 @@ TEST_F(ClusterTest, SameNodePodsCommunicate) {
   Pod& b = cluster.add_pod("n1", "b", "svc", 80);
   std::string got;
   b.transport().listen(80, [&](transport::Connection& c) {
-    c.set_on_data([&](std::string_view d) { got.append(d); });
+    c.set_on_data([&](const net::Payload& d) { got.append(d.view()); });
   });
   a.transport().connect({b.ip(), 80}).send("same-node");
   sim.run_until(sim::seconds(2));

@@ -398,8 +398,8 @@ TEST_F(TcFixture, DstIpClassifierPrioritizes) {
   to_high.flow.dst_ip = high_pod->ip();
   net::Packet to_low;
   to_low.flow.dst_ip = low_pod->ip();
-  qdisc->enqueue(to_low, 0);
-  qdisc->enqueue(to_high, 0);
+  qdisc->enqueue(to_low);
+  qdisc->enqueue(to_high);
   EXPECT_EQ(qdisc->band_backlog_packets(0), 1u);
   EXPECT_EQ(qdisc->band_backlog_packets(1), 1u);
 }
@@ -450,8 +450,8 @@ TEST(SdnCoordinator, ProgramLinkUsesFlowTable) {
   ls.flow = ls_flow;
   net::Packet other;
   other.flow = net::FlowKey{3, 30, 4, 40};
-  qdisc->enqueue(ls, 0);
-  qdisc->enqueue(other, 0);
+  qdisc->enqueue(ls);
+  qdisc->enqueue(other);
   EXPECT_EQ(qdisc->band_backlog_packets(0), 1u);
   EXPECT_EQ(qdisc->band_backlog_packets(1), 1u);
 }

@@ -61,7 +61,7 @@ class ChaosFixture : public ::testing::Test {
   void wire_traffic() {
     b_->transport().listen(80, [this](transport::Connection& conn) {
       conn.set_on_data(
-          [this](std::string_view data) { received_ += data.size(); });
+          [this](const net::Payload& data) { received_ += data.size(); });
     });
     sender_ = &a_->transport().connect({b_->ip(), 80});
   }

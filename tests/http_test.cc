@@ -134,7 +134,7 @@ TEST(HeaderIntern, SerializedNamesAreCanonicalLowercase) {
   HttpRequest request;
   request.headers.set("X-Mesh-Priority", "high");
   request.headers.set(headers::Id::kHost, "reviews");
-  const std::string wire = serialize_request(request);
+  const std::string wire = serialize_request(request).materialize();
   EXPECT_NE(wire.find("x-mesh-priority: high"), std::string::npos);
   EXPECT_NE(wire.find("host: reviews"), std::string::npos);
 }
@@ -176,7 +176,7 @@ TEST(Codec, SerializeRequestBasics) {
   req.path = "/submit";
   req.headers.set("host", "svc");
   req.body = "hello";
-  const std::string wire = serialize_request(req);
+  const std::string wire = serialize_request(req).materialize();
   EXPECT_EQ(wire.rfind("POST /submit HTTP/1.1\r\n", 0), 0u);
   EXPECT_NE(wire.find("host: svc\r\n"), std::string::npos);
   EXPECT_NE(wire.find("content-length: 5\r\n"), std::string::npos);
@@ -187,7 +187,7 @@ TEST(Codec, SerializeResponseBasics) {
   HttpResponse resp;
   resp.status = 404;
   resp.body = "nope";
-  const std::string wire = serialize_response(resp);
+  const std::string wire = serialize_response(resp).materialize();
   EXPECT_EQ(wire.rfind("HTTP/1.1 404 Not Found\r\n", 0), 0u);
   EXPECT_NE(wire.find("content-length: 4\r\n"), std::string::npos);
 }
@@ -196,7 +196,7 @@ TEST(Codec, ContentLengthAlwaysAccurate) {
   HttpRequest req;
   req.headers.set("content-length", "999");  // stale; must be replaced
   req.body = "abc";
-  const std::string wire = serialize_request(req);
+  const std::string wire = serialize_request(req).materialize();
   EXPECT_NE(wire.find("content-length: 3\r\n"), std::string::npos);
   EXPECT_EQ(wire.find("999"), std::string::npos);
 }
@@ -217,7 +217,8 @@ TEST(Codec, RequestRoundTrip) {
   req.headers.set("host", "frontend");
   req.headers.set("x-mesh-priority", "high");
   req.body = "payload-bytes";
-  const HttpRequest parsed = parse_one_request(serialize_request(req));
+  const HttpRequest parsed =
+      parse_one_request(serialize_request(req).materialize());
   EXPECT_EQ(parsed.method, "GET");
   EXPECT_EQ(parsed.path, "/product/7");
   EXPECT_EQ(parsed.headers.get_or("host", ""), "frontend");
@@ -233,7 +234,7 @@ TEST(Codec, ResponseRoundTrip) {
   HttpParser parser(ParserKind::kResponse);
   HttpResponse out;
   parser.set_on_response([&](HttpResponse r) { out = std::move(r); });
-  EXPECT_TRUE(parser.feed(serialize_response(resp)));
+  EXPECT_TRUE(parser.feed(serialize_response(resp).materialize()));
   EXPECT_EQ(out.status, 503);
   EXPECT_EQ(out.headers.get_or("x-served-by", ""), "sidecar");
   EXPECT_EQ(out.body, resp.body);
@@ -241,7 +242,8 @@ TEST(Codec, ResponseRoundTrip) {
 
 TEST(Codec, EmptyBodyRoundTrip) {
   HttpRequest req;
-  const HttpRequest parsed = parse_one_request(serialize_request(req));
+  const HttpRequest parsed =
+      parse_one_request(serialize_request(req).materialize());
   EXPECT_EQ(parsed.body, "");
 }
 
@@ -256,7 +258,7 @@ TEST_P(ChunkedFeedTest, ByteChunksParseIdentically) {
   req.path = "/a/b";
   req.headers.set("host", "x");
   req.body = std::string(777, 'q');
-  const std::string wire = serialize_request(req);
+  const std::string wire = serialize_request(req).materialize();
 
   HttpParser parser(ParserKind::kRequest);
   std::vector<HttpRequest> messages;
@@ -280,7 +282,8 @@ TEST(Codec, PipelinedMessagesInOneChunk) {
   a.body = "AAA";
   b.path = "/second";
   b.body = "BBBBBB";
-  const std::string wire = serialize_request(a) + serialize_request(b);
+  const std::string wire = serialize_request(a).materialize() +
+                           serialize_request(b).materialize();
   HttpParser parser(ParserKind::kRequest);
   std::vector<HttpRequest> messages;
   parser.set_on_request([&](HttpRequest r) { messages.push_back(std::move(r)); });
@@ -298,13 +301,100 @@ TEST(Codec, ManyPipelinedMessages) {
     HttpRequest r;
     r.path = "/n/" + std::to_string(i);
     r.body = std::string(static_cast<std::size_t>(i), 'x');
-    wire += serialize_request(r);
+    wire += serialize_request(r).materialize();
   }
   HttpParser parser(ParserKind::kRequest);
   int count = 0;
   parser.set_on_request([&](HttpRequest) { ++count; });
   ASSERT_TRUE(parser.feed(wire));
   EXPECT_EQ(count, 50);
+}
+
+// ---- Length-only body tails ---------------------------------------------
+
+TEST(Codec, TailBodySerializesAsLengthOnly) {
+  HttpResponse resp;
+  resp.body_tail = 1'600'000;
+  const net::Payload wire = serialize_response(resp);
+  EXPECT_EQ(wire.tail(), 1'600'000u);
+  EXPECT_NE(wire.view().find("content-length: 1600000\r\n\r\n"),
+            std::string_view::npos);
+  EXPECT_EQ(wire.view().substr(wire.view().size() - 4), "\r\n\r\n");
+}
+
+// Feeds `wire` as consecutive slices of `segment` bytes (as a connection
+// delivers MSS segments): each chunk's real bytes, then its tail.
+template <typename Parser>
+void feed_segments(Parser& parser, const net::Payload& wire,
+                   std::size_t segment) {
+  for (std::size_t offset = 0; offset < wire.size(); offset += segment) {
+    const net::Payload chunk =
+        wire.slice(offset, std::min(segment, wire.size() - offset));
+    ASSERT_TRUE(parser.feed(chunk.view(), chunk.tail()));
+  }
+}
+
+TEST(Codec, HeadEndingMidSegmentIsFollowedByTail) {
+  HttpResponse resp;
+  resp.headers.set("x-app", "ratings");
+  resp.body = "abc";
+  resp.body_tail = 5000;
+  const net::Payload wire = serialize_response(resp);
+  // The first segment holds the head, the body's real bytes and the start
+  // of its tail.
+  HttpParser parser(ParserKind::kResponse);
+  std::vector<HttpResponse> out;
+  parser.set_on_response([&](HttpResponse r) { out.push_back(std::move(r)); });
+  feed_segments(parser, wire, wire.view().size() + 100);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].headers.get_or("x-app", ""), "ratings");
+  EXPECT_EQ(out[0].body, "abc");
+  EXPECT_EQ(out[0].body_tail, 5000u);
+  EXPECT_EQ(out[0].body_size(), 5003u);
+  EXPECT_EQ(parser.buffered_bytes(), 0u);
+}
+
+TEST(Codec, TailInHeadIsMalformed) {
+  HttpParser parser(ParserKind::kRequest);
+  EXPECT_FALSE(parser.feed("GET / HTTP/1.1\r\nhost: a", 10));
+  EXPECT_EQ(parser.error(), ParserError::kTailInHead);
+
+  // Also between messages: a complete message, then a stray tail.
+  HttpParser next(ParserKind::kRequest);
+  int parsed = 0;
+  next.set_on_request([&](HttpRequest) { ++parsed; });
+  EXPECT_FALSE(next.feed(serialize_request(HttpRequest{}).view(), 1));
+  EXPECT_EQ(parsed, 1);
+  EXPECT_EQ(next.error(), ParserError::kTailInHead);
+}
+
+TEST(Codec, RealMessagePipelinedAfterTailMessage) {
+  HttpResponse bulk;
+  bulk.body_tail = 20'000;
+  HttpResponse error;
+  error.status = 502;
+  error.body = "upstream dependency failed";
+  HttpParser parser(ParserKind::kResponse);
+  std::vector<HttpResponse> out;
+  parser.set_on_response([&](HttpResponse r) { out.push_back(std::move(r)); });
+  feed_segments(parser, serialize_response(bulk), 1460);
+  feed_segments(parser, serialize_response(error), 1460);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].body, "");
+  EXPECT_EQ(out[0].body_tail, 20'000u);
+  EXPECT_EQ(out[1].status, 502);
+  EXPECT_EQ(out[1].body, "upstream dependency failed");
+  EXPECT_EQ(out[1].body_tail, 0u);
+}
+
+TEST(Codec, RealBytesAfterTailMaterializeIt) {
+  HttpParser parser(ParserKind::kResponse);
+  HttpResponse out;
+  parser.set_on_response([&](HttpResponse r) { out = std::move(r); });
+  ASSERT_TRUE(parser.feed("HTTP/1.1 200 OK\r\ncontent-length: 6\r\n\r\na", 2));
+  ASSERT_TRUE(parser.feed("bcd"));
+  EXPECT_EQ(out.body, "axxbcd");
+  EXPECT_EQ(out.body_tail, 0u);
 }
 
 TEST(Codec, BadStartLineSetsError) {
@@ -376,7 +466,7 @@ TEST(Codec, LargeBinaryBodySurvives) {
   HttpParser parser(ParserKind::kResponse);
   HttpResponse out;
   parser.set_on_response([&](HttpResponse r) { out = std::move(r); });
-  ASSERT_TRUE(parser.feed(serialize_response(resp)));
+  ASSERT_TRUE(parser.feed(serialize_response(resp).materialize()));
   EXPECT_EQ(out.body, resp.body);
 }
 
@@ -527,7 +617,7 @@ TEST(CodecFuzz, RandomRequestsRoundTripUnderRandomChunking) {
     std::string wire;
     for (std::uint64_t i = rng.uniform_int(1, 3); i > 0; --i) {
       originals.push_back(random_request(rng));
-      wire += serialize_request(originals.back());
+      wire += serialize_request(originals.back()).materialize();
     }
     HttpParser parser(ParserKind::kRequest);
     std::vector<HttpRequest> parsed;
@@ -550,6 +640,62 @@ TEST(CodecFuzz, RandomRequestsRoundTripUnderRandomChunking) {
   }
 }
 
+// Property: a message parses the same whether it arrives as materialized
+// bytes or as its payload split at random points; the payload form keeps
+// the real/tail split exactly.
+TEST(CodecFuzz, PayloadChunksParseLikeMaterializedBytes) {
+  for (std::uint64_t seed = 1; seed <= 150; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    sim::RngStream rng(seed, "http-fuzz-payload");
+    std::vector<HttpResponse> originals;
+    std::vector<net::Payload> payloads;
+    std::string bytes;
+    for (std::uint64_t i = rng.uniform_int(1, 3); i > 0; --i) {
+      HttpResponse resp = random_response(rng);
+      if (rng.bernoulli(0.7)) resp.body_tail = rng.uniform_int(1, 200'000);
+      payloads.push_back(serialize_response(resp));
+      bytes += payloads.back().materialize();
+      originals.push_back(std::move(resp));
+    }
+    HttpParser from_bytes(ParserKind::kResponse);
+    std::vector<HttpResponse> materialized;
+    from_bytes.set_on_response(
+        [&](HttpResponse r) { materialized.push_back(std::move(r)); });
+    feed_in_random_chunks(from_bytes, bytes, rng);
+
+    HttpParser from_payloads(ParserKind::kResponse);
+    std::vector<HttpResponse> parsed;
+    from_payloads.set_on_response(
+        [&](HttpResponse r) { parsed.push_back(std::move(r)); });
+    for (const net::Payload& wire : payloads) {
+      std::size_t offset = 0;
+      while (offset < wire.size()) {
+        const std::size_t len = std::min<std::size_t>(
+            rng.uniform_int(1, 3000), wire.size() - offset);
+        const net::Payload chunk = wire.slice(offset, len);
+        ASSERT_TRUE(from_payloads.feed(chunk.view(), chunk.tail()));
+        offset += len;
+      }
+    }
+    ASSERT_EQ(parsed.size(), originals.size());
+    ASSERT_EQ(materialized.size(), originals.size());
+    EXPECT_EQ(from_payloads.buffered_bytes(), 0u);
+    for (std::size_t i = 0; i < originals.size(); ++i) {
+      EXPECT_EQ(parsed[i].status, materialized[i].status);
+      EXPECT_EQ(parsed[i].headers, materialized[i].headers);
+      EXPECT_EQ(parsed[i].body_size(), materialized[i].body_size());
+      EXPECT_EQ(parsed[i].body + std::string(parsed[i].body_tail, 'x'),
+                materialized[i].body);
+      EXPECT_EQ(parsed[i].body, originals[i].body);
+      EXPECT_EQ(parsed[i].body_tail, originals[i].body_tail);
+    }
+    if (::testing::Test::HasFatalFailure() ||
+        ::testing::Test::HasNonfatalFailure()) {
+      return;
+    }
+  }
+}
+
 TEST(CodecFuzz, RandomResponsesRoundTripUnderRandomChunking) {
   for (std::uint64_t seed = 1; seed <= 150; ++seed) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
@@ -558,7 +704,7 @@ TEST(CodecFuzz, RandomResponsesRoundTripUnderRandomChunking) {
     std::string wire;
     for (std::uint64_t i = rng.uniform_int(1, 3); i > 0; --i) {
       originals.push_back(random_response(rng));
-      wire += serialize_response(originals.back());
+      wire += serialize_response(originals.back()).materialize();
     }
     HttpParser parser(ParserKind::kResponse);
     std::vector<HttpResponse> parsed;

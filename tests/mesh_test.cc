@@ -455,7 +455,7 @@ TEST_F(MeshFixture, EndToEndRequestThroughMesh) {
   const auto response = get("server", "/hello");
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(response->status, 200);
-  EXPECT_EQ(response->body.size(), 64u);
+  EXPECT_EQ(response->body_size(), 64u);
   EXPECT_EQ(client_sidecar_->stats().outbound_requests, 1u);
   EXPECT_EQ(server_sidecars_[0]->stats().inbound_requests, 1u);
 }
@@ -483,7 +483,7 @@ TEST_F(MeshFixture, RequestIdAssignedWhenMissing) {
   });
   const auto response = get("server", "/id");
   ASSERT_TRUE(response.has_value());
-  EXPECT_EQ(response->body.size(), 2u);  // app saw a request id
+  EXPECT_EQ(response->body_size(), 2u);  // app saw a request id
 }
 
 TEST_F(MeshFixture, TelemetryRecordsEdge) {
@@ -724,7 +724,7 @@ TEST_F(MeshFixture, RoundRobinSpreadsAcrossReplicas) {
   for (int i = 0; i < 10; ++i) {
     const auto response = get("server", "/lb");
     ASSERT_TRUE(response.has_value());
-    ++seen[response->body.size()];
+    ++seen[response->body_size()];
   }
   EXPECT_EQ(seen[1], 5);
   EXPECT_EQ(seen[2], 5);

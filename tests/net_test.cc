@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "net/address.h"
@@ -74,7 +75,7 @@ TEST(Payload, CopySliceAndViews) {
   Payload mid = whole.slice(4, 6);
   EXPECT_EQ(mid.view(), "456789");
   // Slices share the block: same underlying bytes.
-  EXPECT_EQ(mid.data(), whole.data() + 4);
+  EXPECT_EQ(mid.view().data(), whole.view().data() + 4);
 
   // The slice keeps the block alive after the parent dies.
   whole.reset();
@@ -123,6 +124,77 @@ TEST(Payload, OversizedBlocksBypassThePool) {
   EXPECT_EQ(after.blocks_cached, 0u);  // not cached on release
 }
 
+TEST(Payload, SlicesKeepTheRealBytesAndTailTheyCover) {
+  const Payload whole = Payload::copy_of("head", 10);
+  EXPECT_EQ(whole.size(), 14u);
+  EXPECT_EQ(whole.view(), "head");
+  EXPECT_EQ(whole.tail(), 10u);
+  EXPECT_EQ(whole.materialize(), "head" + std::string(10, 'x'));
+
+  const Payload real = whole.slice(1, 2);
+  EXPECT_EQ(real.view(), "ea");
+  EXPECT_EQ(real.tail(), 0u);
+
+  const Payload straddle = whole.slice(2, 5);
+  EXPECT_EQ(straddle.view(), "ad");
+  EXPECT_EQ(straddle.tail(), 3u);
+  EXPECT_EQ(straddle.size(), 5u);
+
+  const Payload at_boundary = whole.slice(4, 3);
+  EXPECT_EQ(at_boundary.view(), "");
+  EXPECT_EQ(at_boundary.tail(), 3u);
+
+  const Payload tail_only = whole.slice(9, 5);
+  EXPECT_EQ(tail_only.view(), "");
+  EXPECT_EQ(tail_only.tail(), 5u);
+  EXPECT_EQ(tail_only.materialize(), "xxxxx");
+}
+
+TEST(Payload, OnlySlicesWithRealBytesHoldTheBlock) {
+  payload_pool_trim();
+  Payload whole = Payload::copy_of("head", 1000);
+  Payload straddle = whole.slice(3, 10);
+  Payload tail_only = whole.slice(4, 100);
+  Payload tail_copy = tail_only;
+  whole.reset();
+  // The straddling slice still holds the block...
+  EXPECT_EQ(payload_pool_stats().blocks_cached, 0u);
+  EXPECT_EQ(straddle.view(), "d");
+  straddle.reset();
+  // ...and once it goes the block is back in the pool, although both
+  // tail-only payloads are alive: they never referenced it.
+  EXPECT_EQ(payload_pool_stats().blocks_cached, 1u);
+  EXPECT_EQ(tail_only.size(), 100u);
+  EXPECT_EQ(tail_copy.size(), 100u);
+  payload_pool_trim();
+}
+
+TEST(Payload, TailBytesNeverTouchThePool) {
+  payload_pool_trim();
+  const PayloadPoolStats before = payload_pool_stats();
+  {
+    const Payload body = Payload::copy_of("", 1'600'000);
+    EXPECT_EQ(body.size(), 1'600'000u);
+    const Payload segment = body.slice(14'600, 1460);
+    EXPECT_EQ(segment.tail(), 1460u);
+  }
+  PayloadPoolStats after = payload_pool_stats();
+  EXPECT_EQ(after.pool_hits, before.pool_hits);
+  EXPECT_EQ(after.pool_misses, before.pool_misses);
+  EXPECT_EQ(after.unpooled, before.unpooled);
+  EXPECT_EQ(after.blocks_cached, 0u);
+  // A 200-byte head over a 1.6 MB tail takes one 256-byte block.
+  {
+    const Payload message =
+        Payload::copy_of(std::string(200, 'h'), 1'600'000);
+  }
+  after = payload_pool_stats();
+  EXPECT_EQ(after.pool_misses - before.pool_misses, 1u);
+  EXPECT_EQ(after.unpooled, before.unpooled);
+  EXPECT_EQ(after.bytes_cached, 256u);
+  payload_pool_trim();
+}
+
 TEST(Packet, SizeAccounting) {
   Packet p = make_packet(100);
   EXPECT_EQ(p.payload_size(), 100u);
@@ -134,73 +206,73 @@ TEST(Packet, SizeAccounting) {
 
 TEST(FifoQdisc, FifoOrder) {
   FifoQdisc q(1 << 20);
-  for (int i = 1; i <= 3; ++i) q.enqueue(make_packet(100 * i), 0);
-  EXPECT_EQ(q.dequeue(0)->payload_size(), 100u);
-  EXPECT_EQ(q.dequeue(0)->payload_size(), 200u);
-  EXPECT_EQ(q.dequeue(0)->payload_size(), 300u);
-  EXPECT_FALSE(q.dequeue(0).has_value());
+  for (int i = 1; i <= 3; ++i) q.enqueue(make_packet(100 * i));
+  EXPECT_EQ(q.dequeue()->payload_size(), 100u);
+  EXPECT_EQ(q.dequeue()->payload_size(), 200u);
+  EXPECT_EQ(q.dequeue()->payload_size(), 300u);
+  EXPECT_FALSE(q.dequeue().has_value());
 }
 
 TEST(FifoQdisc, DropsWhenFull) {
   FifoQdisc q(300);
-  EXPECT_TRUE(q.enqueue(make_packet(200), 0));   // 240 bytes
-  EXPECT_FALSE(q.enqueue(make_packet(200), 0));  // would exceed 300
+  EXPECT_TRUE(q.enqueue(make_packet(200)));   // 240 bytes
+  EXPECT_FALSE(q.enqueue(make_packet(200)));  // would exceed 300
   EXPECT_EQ(q.stats().dropped_packets, 1u);
   EXPECT_EQ(q.backlog_packets(), 1u);
 }
 
 TEST(FifoQdisc, AlwaysAcceptsIntoEmptyQueue) {
   FifoQdisc q(10);  // limit below even one packet
-  EXPECT_TRUE(q.enqueue(make_packet(1000), 0));
+  EXPECT_TRUE(q.enqueue(make_packet(1000)));
   EXPECT_EQ(q.backlog_packets(), 1u);
 }
 
 TEST(FifoQdisc, StatsTrackBytes) {
   FifoQdisc q(1 << 20);
-  q.enqueue(make_packet(100), 0);
-  q.enqueue(make_packet(50), 0);
+  q.enqueue(make_packet(100));
+  q.enqueue(make_packet(50));
   EXPECT_EQ(q.stats().enqueued_packets, 2u);
   EXPECT_EQ(q.stats().enqueued_bytes, 230u);
   EXPECT_EQ(q.stats().max_backlog_bytes, 230u);
-  q.dequeue(0);
+  q.dequeue();
   EXPECT_EQ(q.stats().dequeued_packets, 1u);
   EXPECT_EQ(q.backlog_bytes(), 90u);
 }
 
 TEST(StrictPrioQdisc, HighBandAlwaysFirst) {
   StrictPrioQdisc q(2, classify_by_dscp());
-  q.enqueue(make_packet(100, Dscp::kScavenger), 0);
-  q.enqueue(make_packet(200, Dscp::kExpedited), 0);
-  q.enqueue(make_packet(300, Dscp::kScavenger), 0);
-  q.enqueue(make_packet(400, Dscp::kExpedited), 0);
-  EXPECT_EQ(q.dequeue(0)->payload_size(), 200u);
-  EXPECT_EQ(q.dequeue(0)->payload_size(), 400u);
-  EXPECT_EQ(q.dequeue(0)->payload_size(), 100u);
-  EXPECT_EQ(q.dequeue(0)->payload_size(), 300u);
+  q.enqueue(make_packet(100, Dscp::kScavenger));
+  q.enqueue(make_packet(200, Dscp::kExpedited));
+  q.enqueue(make_packet(300, Dscp::kScavenger));
+  q.enqueue(make_packet(400, Dscp::kExpedited));
+  EXPECT_EQ(q.dequeue()->payload_size(), 200u);
+  EXPECT_EQ(q.dequeue()->payload_size(), 400u);
+  EXPECT_EQ(q.dequeue()->payload_size(), 100u);
+  EXPECT_EQ(q.dequeue()->payload_size(), 300u);
 }
 
 TEST(StrictPrioQdisc, PerBandLimits) {
   StrictPrioQdisc q(2, classify_by_dscp(), 300);
-  EXPECT_TRUE(q.enqueue(make_packet(200, Dscp::kExpedited), 0));
-  EXPECT_FALSE(q.enqueue(make_packet(200, Dscp::kExpedited), 0));
+  EXPECT_TRUE(q.enqueue(make_packet(200, Dscp::kExpedited)));
+  EXPECT_FALSE(q.enqueue(make_packet(200, Dscp::kExpedited)));
   // The low band has its own budget.
-  EXPECT_TRUE(q.enqueue(make_packet(200, Dscp::kScavenger), 0));
+  EXPECT_TRUE(q.enqueue(make_packet(200, Dscp::kScavenger)));
   EXPECT_EQ(q.band_drops(0), 1u);
   EXPECT_EQ(q.band_drops(1), 0u);
 }
 
 TEST(StrictPrioQdisc, ClassifierClamping) {
   StrictPrioQdisc q(2, classify_all_to(99));  // out of range -> last band
-  EXPECT_TRUE(q.enqueue(make_packet(10), 0));
+  EXPECT_TRUE(q.enqueue(make_packet(10)));
   EXPECT_EQ(q.band_backlog_packets(1), 1u);
   StrictPrioQdisc q2(2, classify_all_to(-5));  // negative -> band 0
-  EXPECT_TRUE(q2.enqueue(make_packet(10), 0));
+  EXPECT_TRUE(q2.enqueue(make_packet(10)));
   EXPECT_EQ(q2.band_backlog_packets(0), 1u);
 }
 
 TEST(WeightedPrioQdisc, EmptyDequeue) {
   WeightedPrioQdisc q({0.95, 0.05}, classify_by_dscp());
-  EXPECT_FALSE(q.dequeue(0).has_value());
+  EXPECT_FALSE(q.dequeue().has_value());
 }
 
 TEST(WeightedPrioQdisc, SharesApproximateConfiguration) {
@@ -208,15 +280,15 @@ TEST(WeightedPrioQdisc, SharesApproximateConfiguration) {
   WeightedPrioQdisc q({0.95, 0.05}, classify_by_dscp(), 1 << 30);
   auto refill = [&] {
     while (q.band_backlog_packets(0) < 50) {
-      q.enqueue(make_packet(1400, Dscp::kExpedited), 0);
+      q.enqueue(make_packet(1400, Dscp::kExpedited));
     }
     while (q.band_backlog_packets(1) < 50) {
-      q.enqueue(make_packet(1400, Dscp::kScavenger), 0);
+      q.enqueue(make_packet(1400, Dscp::kScavenger));
     }
   };
   for (int i = 0; i < 4000; ++i) {
     refill();
-    ASSERT_TRUE(q.dequeue(0).has_value());
+    ASSERT_TRUE(q.dequeue().has_value());
   }
   const double high = static_cast<double>(q.band_dequeued_bytes(0));
   const double low = static_cast<double>(q.band_dequeued_bytes(1));
@@ -226,11 +298,11 @@ TEST(WeightedPrioQdisc, SharesApproximateConfiguration) {
 TEST(WeightedPrioQdisc, IdleHighBandYieldsFully) {
   WeightedPrioQdisc q({0.95, 0.05}, classify_by_dscp(), 1 << 30);
   for (int i = 0; i < 100; ++i) {
-    q.enqueue(make_packet(1000, Dscp::kScavenger), 0);
+    q.enqueue(make_packet(1000, Dscp::kScavenger));
   }
   // With no high traffic, every dequeue serves the low band immediately.
   for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(q.dequeue(0).has_value());
+    ASSERT_TRUE(q.dequeue().has_value());
   }
   EXPECT_EQ(q.band_dequeued_bytes(1), 100u * 1040u);
 }
@@ -238,14 +310,14 @@ TEST(WeightedPrioQdisc, IdleHighBandYieldsFully) {
 TEST(WeightedPrioQdisc, HighPacketJumpsLowBacklog) {
   WeightedPrioQdisc q({0.95, 0.05}, classify_by_dscp(), 1 << 30);
   for (int i = 0; i < 50; ++i) {
-    q.enqueue(make_packet(1400, Dscp::kScavenger), 0);
+    q.enqueue(make_packet(1400, Dscp::kScavenger));
   }
-  q.enqueue(make_packet(100, Dscp::kExpedited), 0);
+  q.enqueue(make_packet(100, Dscp::kExpedited));
   // The next few dequeues must include the high packet almost instantly
   // (DRR may emit at most one low packet first from residual deficit).
   bool high_seen = false;
   for (int i = 0; i < 2 && !high_seen; ++i) {
-    const auto p = q.dequeue(0);
+    const auto p = q.dequeue();
     ASSERT_TRUE(p.has_value());
     high_seen = p->dscp == Dscp::kExpedited;
   }
@@ -254,9 +326,9 @@ TEST(WeightedPrioQdisc, HighPacketJumpsLowBacklog) {
 
 TEST(WeightedPrioQdisc, DropsPerBand) {
   WeightedPrioQdisc q({0.5, 0.5}, classify_by_dscp(), 300);
-  EXPECT_TRUE(q.enqueue(make_packet(200, Dscp::kExpedited), 0));
-  EXPECT_FALSE(q.enqueue(make_packet(200, Dscp::kExpedited), 0));
-  EXPECT_TRUE(q.enqueue(make_packet(200, Dscp::kScavenger), 0));
+  EXPECT_TRUE(q.enqueue(make_packet(200, Dscp::kExpedited)));
+  EXPECT_FALSE(q.enqueue(make_packet(200, Dscp::kExpedited)));
+  EXPECT_TRUE(q.enqueue(make_packet(200, Dscp::kScavenger)));
   EXPECT_EQ(q.band_drops(0), 1u);
   EXPECT_EQ(q.band_drops(1), 0u);
 }
@@ -323,6 +395,77 @@ TEST(Link, QdiscReplaceDropsBacklog) {
   link.set_qdisc(std::make_unique<FifoQdisc>());
   sim.run();
   EXPECT_EQ(delivered, 1);  // only the packet already on the wire
+}
+
+Packet numbered(std::uint64_t seq) {
+  Packet p = make_packet(1400);
+  p.seq = seq;
+  return p;
+}
+
+// The link's events capture only the link; packets wait in its ring. Many
+// packets share the wire at once here (propagation is ~9 serializations).
+TEST(Link, ForwardingSchedulesNoHeapTasks) {
+  sim::Simulator sim;
+  Link link(sim, "l", 1e9, sim::microseconds(100),
+            std::make_unique<FifoQdisc>(1 << 30));
+  std::vector<std::uint64_t> order;
+  link.set_sink([&](Packet p) { order.push_back(p.seq); });
+  const std::uint64_t before = sim.loop_stats().task_heap_allocs;
+  for (std::uint64_t i = 0; i < 200; ++i) link.send(numbered(i));
+  sim.run();
+  EXPECT_EQ(sim.loop_stats().task_heap_allocs, before);
+  ASSERT_EQ(order.size(), 200u);
+  for (std::uint64_t i = 0; i < 200; ++i) EXPECT_EQ(order[i], i);
+}
+
+TEST(Link, HandoffSchedulesNoHeapTasks) {
+  sim::Simulator sim;
+  Link link(sim, "l", 1e9, sim::microseconds(100),
+            std::make_unique<FifoQdisc>(1 << 30));
+  std::vector<std::uint64_t> order;
+  std::vector<sim::Time> handed_at;
+  link.set_handoff([&](Packet p, sim::Duration propagation) {
+    EXPECT_EQ(propagation, sim::microseconds(100));
+    order.push_back(p.seq);
+    handed_at.push_back(sim.now());
+  });
+  const std::uint64_t before = sim.loop_stats().task_heap_allocs;
+  for (std::uint64_t i = 0; i < 200; ++i) link.send(numbered(i));
+  sim.run();
+  EXPECT_EQ(sim.loop_stats().task_heap_allocs, before);
+  ASSERT_EQ(order.size(), 200u);
+  const sim::Duration tx = sim::transmission_time(1440, 1e9);
+  for (std::uint64_t i = 0; i < 200; ++i) {
+    EXPECT_EQ(order[i], i);
+    // Handed off at serialization-complete time.
+    EXPECT_EQ(handed_at[i], static_cast<sim::Time>(i + 1) * tx);
+  }
+}
+
+// Carrier loss drops the qdisc backlog but not the bits on the wire; what
+// is sent after the carrier returns arrives behind them, in order.
+TEST(Link, DeliveryStaysFifoAcrossCarrierLoss) {
+  sim::Simulator sim;
+  Link link(sim, "l", 1e9, sim::microseconds(100),
+            std::make_unique<FifoQdisc>(1 << 30));
+  std::vector<std::uint64_t> order;
+  link.set_sink([&](Packet p) { order.push_back(p.seq); });
+  const std::uint64_t before = sim.loop_stats().task_heap_allocs;
+  // 1440 B at 1 Gbps serializes in 11.52 us: by 50 us packets 0-4 are on
+  // the wire (4 still serializing) and 5-19 wait in the qdisc.
+  for (std::uint64_t i = 0; i < 20; ++i) link.send(numbered(i));
+  sim.run_until(sim::microseconds(50));
+  link.set_up(false);
+  link.send(numbered(99));  // blackholed
+  sim.run_until(sim::microseconds(60));
+  link.set_up(true);
+  for (std::uint64_t i = 20; i < 25; ++i) link.send(numbered(i));
+  sim.run();
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{0, 1, 2, 3, 4, 20, 21, 22,
+                                               23, 24}));
+  EXPECT_EQ(link.stats().down_drops, 16u);
+  EXPECT_EQ(sim.loop_stats().task_heap_allocs, before);
 }
 
 // -------------------------------------------------------------- Network --

@@ -33,15 +33,15 @@ TEST_P(WeightedShareTest, LongRunShareMatchesConfig) {
   WeightedPrioQdisc q({share, 1.0 - share}, classify_by_dscp(), 1 << 30);
   auto refill = [&] {
     while (q.band_backlog_packets(0) < 20) {
-      q.enqueue(packet_of(high_size, Dscp::kExpedited), 0);
+      q.enqueue(packet_of(high_size, Dscp::kExpedited));
     }
     while (q.band_backlog_packets(1) < 20) {
-      q.enqueue(packet_of(low_size, Dscp::kScavenger), 0);
+      q.enqueue(packet_of(low_size, Dscp::kScavenger));
     }
   };
   for (int i = 0; i < 20000; ++i) {
     refill();
-    ASSERT_TRUE(q.dequeue(0).has_value());
+    ASSERT_TRUE(q.dequeue().has_value());
   }
   const double high = static_cast<double>(q.band_dequeued_bytes(0));
   const double low = static_cast<double>(q.band_dequeued_bytes(1));
@@ -82,14 +82,14 @@ TEST_P(WorkConservationTest, BytesBalance) {
   for (int i = 0; i < 5000; ++i) {
     const auto size = static_cast<std::uint32_t>(rng.uniform_int(1, 9000));
     const Dscp dscp = rng.bernoulli(0.5) ? Dscp::kExpedited : Dscp::kScavenger;
-    q->enqueue(packet_of(size, dscp), i);
+    q->enqueue(packet_of(size, dscp));
     if (rng.bernoulli(0.7)) {
-      if (const auto p = q->dequeue(i)) dequeued_bytes += p->size_bytes();
+      if (const auto p = q->dequeue()) dequeued_bytes += p->size_bytes();
     }
   }
   // Drain.
   for (int i = 0; i < 20000 && !q->empty(); ++i) {
-    if (const auto p = q->dequeue(1'000'000 + i * 1000)) {
+    if (const auto p = q->dequeue()) {
       dequeued_bytes += p->size_bytes();
     }
   }
@@ -122,9 +122,9 @@ TEST_P(IntraClassOrderTest, NeverReordersWithinAClass) {
     const int cls = rng.bernoulli(0.3) ? 0 : 1;
     Packet p = packet_of(100, cls == 0 ? Dscp::kExpedited : Dscp::kScavenger);
     p.seq = ++next_seq[cls];
-    q->enqueue(std::move(p), i);
+    q->enqueue(std::move(p));
     if (rng.bernoulli(0.6)) {
-      if (const auto out = q->dequeue(i)) {
+      if (const auto out = q->dequeue()) {
         const int out_cls = out->dscp == Dscp::kExpedited ? 0 : 1;
         EXPECT_GT(out->seq, last_out[out_cls]);
         last_out[out_cls] = out->seq;
@@ -143,13 +143,13 @@ TEST(StrictPriorityProperty, HighNeverQueuedBehindLow) {
   sim::RngStream rng(9, "strict");
   for (int i = 0; i < 2000; ++i) {
     if (rng.bernoulli(0.5)) {
-      q.enqueue(packet_of(500, Dscp::kScavenger), i);
+      q.enqueue(packet_of(500, Dscp::kScavenger));
     }
     if (rng.bernoulli(0.2)) {
-      q.enqueue(packet_of(500, Dscp::kExpedited), i);
+      q.enqueue(packet_of(500, Dscp::kExpedited));
     }
     if (rng.bernoulli(0.6)) {
-      const auto p = q.dequeue(i);
+      const auto p = q.dequeue();
       if (p && p->dscp != Dscp::kExpedited) {
         // A low packet may only leave when no high packet waits.
         EXPECT_EQ(q.band_backlog_packets(0), 0u);

@@ -229,7 +229,7 @@ TEST(TlsHandshake, FullHandshakeNeverSkipsStatesUnderRandomInterleavings) {
     pair.server->set_on_plaintext(
         [&](std::string_view data) { received.append(data); });
     pair.start();
-    pair.client->send_app_data("GET / HTTP/1.1\r\n\r\n");
+    pair.client->send_app_data(net::Payload::copy_of("GET / HTTP/1.1\r\n\r\n"));
     sim.run_until(sim::seconds(10));
 
     ASSERT_TRUE(pair.client->established());
@@ -278,7 +278,7 @@ TEST(TlsHandshake, TicketResumptionRoundTrip) {
   second.server->set_on_plaintext(
       [&](std::string_view data) { received.append(data); });
   second.start();
-  second.client->send_app_data("early");
+  second.client->send_app_data(net::Payload::copy_of("early"));
   sim.run_until(sim::seconds(2));
   ASSERT_TRUE(second.client->established());
   ASSERT_TRUE(second.server->established());
@@ -421,9 +421,9 @@ TEST(TlsCertificate, EstablishedSessionSurvivesRotationMidRequest) {
   ASSERT_TRUE(pair.client->established());
 
   // Rotation lands through the stable cert pointer, mid-"request".
-  pair.client->send_app_data("part-1|");
+  pair.client->send_app_data(net::Payload::copy_of("part-1|"));
   server_cert = make_cert(2, sim.now(), sim.now() + sim::seconds(10));
-  pair.client->send_app_data("part-2");
+  pair.client->send_app_data(net::Payload::copy_of("part-2"));
   sim.run_until(sim::seconds(2));
   EXPECT_TRUE(pair.client->established());
   EXPECT_EQ(received, "part-1|part-2");
@@ -440,7 +440,7 @@ TEST(TlsCertificate, EstablishedSessionSurvivesRotationMidRequest) {
   next.start();
   // 0-RTT data rides the rejected ticket; it must be delivered after the
   // full handshake completes instead of being lost or replayed early.
-  next.client->send_app_data("early-after-rotation");
+  next.client->send_app_data(net::Payload::copy_of("early-after-rotation"));
   sim.run_until(sim::seconds(4));
   ASSERT_TRUE(next.client->established());
   EXPECT_FALSE(next.client->resumed());

@@ -55,7 +55,7 @@ TEST_P(PathSweepTest, ExactlyOnceInOrderDelivery) {
 
   std::string received;
   host_b.listen(80, [&](Connection& c) {
-    c.set_on_data([&](std::string_view d) { received.append(d); });
+    c.set_on_data([&](const net::Payload& d) { received.append(d.view()); });
   });
 
   ConnectionOptions options;
@@ -105,7 +105,7 @@ TEST(ConcurrentFlows, AllCompleteOverSharedBottleneck) {
   int next_flow = 0;
   host_b.listen(80, [&](Connection& c) {
     const int idx = next_flow++;
-    c.set_on_data([&received, idx](std::string_view d) {
+    c.set_on_data([&received, idx](const net::Payload& d) {
       received[static_cast<std::size_t>(idx)] += d.size();
     });
   });
@@ -148,7 +148,7 @@ TEST(ConcurrentFlows, LedbatYieldsToReno) {
   int accepted = 0;
   host_b.listen(80, [&](Connection& c) {
     auto* counter = accepted++ == 0 ? &received_reno : &received_ledbat;
-    c.set_on_data([counter](std::string_view d) { *counter += d.size(); });
+    c.set_on_data([counter](const net::Payload& d) { *counter += d.size(); });
   });
 
   ConnectionOptions reno;

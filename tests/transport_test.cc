@@ -178,7 +178,7 @@ TEST_F(TransportFixture, DataArrivesInOrderAndIntact) {
   build();
   std::string received;
   host_b->listen(80, [&](Connection& c) {
-    c.set_on_data([&](std::string_view d) { received.append(d); });
+    c.set_on_data([&](const net::Payload& d) { received.append(d.view()); });
   });
   Connection& client = host_a->connect({ip_b, 80});
   std::string sent;
@@ -194,7 +194,7 @@ TEST_F(TransportFixture, LargeTransferIntegrity) {
   build();
   std::string received;
   host_b->listen(80, [&](Connection& c) {
-    c.set_on_data([&](std::string_view d) { received.append(d); });
+    c.set_on_data([&](const net::Payload& d) { received.append(d.view()); });
   });
   ConnectionOptions options;
   options.mss = 8960;
@@ -213,13 +213,13 @@ TEST_F(TransportFixture, BidirectionalTransfer) {
   build();
   std::string at_b, at_a;
   host_b->listen(80, [&](Connection& c) {
-    c.set_on_data([&](std::string_view d) {
-      at_b.append(d);
-      c.send("pong:" + std::string(d));
+    c.set_on_data([&](const net::Payload& d) {
+      at_b.append(d.view());
+      c.send("pong:" + std::string(d.view()));
     });
   });
   Connection& client = host_a->connect({ip_b, 80});
-  client.set_on_data([&](std::string_view d) { at_a.append(d); });
+  client.set_on_data([&](const net::Payload& d) { at_a.append(d.view()); });
   client.send("ping");
   sim.run_until(sim::seconds(1));
   EXPECT_EQ(at_b, "ping");
@@ -230,7 +230,7 @@ TEST_F(TransportFixture, SendBeforeEstablishedIsBuffered) {
   build();
   std::string received;
   host_b->listen(80, [&](Connection& c) {
-    c.set_on_data([&](std::string_view d) { received.append(d); });
+    c.set_on_data([&](const net::Payload& d) { received.append(d.view()); });
   });
   Connection& client = host_a->connect({ip_b, 80});
   client.send("early");  // handshake not yet complete
@@ -241,7 +241,9 @@ TEST_F(TransportFixture, SendBeforeEstablishedIsBuffered) {
 
 TEST_F(TransportFixture, MssSegmentation) {
   build();
-  host_b->listen(80, [&](Connection& c) { c.set_on_data([](std::string_view) {}); });
+  host_b->listen(80, [&](Connection& c) {
+    c.set_on_data([](const net::Payload&) {});
+  });
   ConnectionOptions options;
   options.mss = 1000;
   Connection& client = host_a->connect({ip_b, 80}, options);
@@ -267,7 +269,7 @@ TEST_F(TransportFixture, LossIsRecoveredThroughTinyQueue) {
   build(1e8, sim::microseconds(100), 3000);
   std::string received;
   host_b->listen(80, [&](Connection& c) {
-    c.set_on_data([&](std::string_view d) { received.append(d); });
+    c.set_on_data([&](const net::Payload& d) { received.append(d.view()); });
   });
   ConnectionOptions options;
   options.mss = 1000;
@@ -283,7 +285,7 @@ TEST_F(TransportFixture, FastRetransmitFiresOnDupAcks) {
   build(1e8, sim::microseconds(100), 2500);
   std::string received;
   host_b->listen(80, [&](Connection& c) {
-    c.set_on_data([&](std::string_view d) { received.append(d); });
+    c.set_on_data([&](const net::Payload& d) { received.append(d.view()); });
   });
   ConnectionOptions options;
   options.mss = 1000;
@@ -296,7 +298,9 @@ TEST_F(TransportFixture, FastRetransmitFiresOnDupAcks) {
 
 TEST_F(TransportFixture, RttIsMeasured) {
   build(1e9, sim::milliseconds(1));
-  host_b->listen(80, [&](Connection& c) { c.set_on_data([](std::string_view) {}); });
+  host_b->listen(80, [&](Connection& c) {
+    c.set_on_data([](const net::Payload&) {});
+  });
   Connection& client = host_a->connect({ip_b, 80});
   client.send("x");
   sim.run_until(sim::seconds(1));
@@ -311,7 +315,7 @@ TEST_F(TransportFixture, GracefulCloseReachesBothSides) {
   Connection* server = nullptr;
   host_b->listen(80, [&](Connection& c) {
     server = &c;
-    c.set_on_data([](std::string_view) {});
+    c.set_on_data([](const net::Payload&) {});
     c.set_on_closed([&](bool graceful) {
       server_closed = true;
       server_graceful = graceful;
@@ -336,23 +340,28 @@ TEST_F(TransportFixture, CloseFlushesPendingData) {
   build();
   std::string received;
   host_b->listen(80, [&](Connection& c) {
-    c.set_on_data([&](std::string_view d) { received.append(d); });
+    c.set_on_data([&](const net::Payload& d) { received.append(d.view()); });
   });
   ConnectionOptions options;
   options.mss = 1000;
   Connection& client = host_a->connect({ip_b, 80}, options);
+  // The host frees a connection once it closes, so observe the close
+  // through the callback rather than through `client`.
+  bool client_closed = false;
+  client.set_on_closed([&](bool) { client_closed = true; });
   client.send(std::string(50'000, 'f'));
   client.close();  // before anything was transmitted
   sim.run_until(sim::seconds(5));
   EXPECT_EQ(received.size(), 50'000u);
-  EXPECT_TRUE(client.closed());
+  EXPECT_TRUE(client_closed);
+  EXPECT_EQ(host_a->connection_count(), 0u);
 }
 
 TEST_F(TransportFixture, SendAfterCloseIsIgnored) {
   build();
   std::string received;
   host_b->listen(80, [&](Connection& c) {
-    c.set_on_data([&](std::string_view d) { received.append(d); });
+    c.set_on_data([&](const net::Payload& d) { received.append(d.view()); });
   });
   Connection& client = host_a->connect({ip_b, 80});
   client.send("keep");
@@ -366,7 +375,7 @@ TEST_F(TransportFixture, AbortSendsRst) {
   build();
   bool server_closed = false, server_graceful = true;
   host_b->listen(80, [&](Connection& c) {
-    c.set_on_data([](std::string_view) {});
+    c.set_on_data([](const net::Payload&) {});
     c.set_on_closed([&](bool graceful) {
       server_closed = true;
       server_graceful = graceful;
@@ -376,8 +385,10 @@ TEST_F(TransportFixture, AbortSendsRst) {
   client.send("hello");
   sim.run_until(sim::milliseconds(100));
   client.abort();
-  sim.run_until(sim::seconds(1));
+  // abort() closes at once; the host frees the connection a step later.
   EXPECT_TRUE(client.closed());
+  sim.run_until(sim::seconds(1));
+  EXPECT_EQ(host_a->connection_count(), 0u);
   EXPECT_TRUE(server_closed);
   EXPECT_FALSE(server_graceful);
 }
@@ -408,7 +419,9 @@ TEST_F(TransportFixture, SynRetransmitsOnBlackhole) {
 
 TEST_F(TransportFixture, ConnectionsAreRemovedAfterClose) {
   build();
-  host_b->listen(80, [&](Connection& c) { c.set_on_data([](std::string_view) {}); });
+  host_b->listen(80, [&](Connection& c) {
+    c.set_on_data([](const net::Payload&) {});
+  });
   Connection& client = host_a->connect({ip_b, 80});
   client.send("x");
   sim.run_until(sim::milliseconds(500));
@@ -427,7 +440,9 @@ TEST_F(TransportFixture, DscpMarksAllPackets) {
       2, net::classify_by_dscp(), 1 << 20);
   auto* counter_raw = counter.get();
   ab->set_qdisc(std::move(counter));
-  host_b->listen(80, [&](Connection& c) { c.set_on_data([](std::string_view) {}); });
+  host_b->listen(80, [&](Connection& c) {
+    c.set_on_data([](const net::Payload&) {});
+  });
   ConnectionOptions options;
   options.dscp = net::Dscp::kExpedited;
   Connection& client = host_a->connect({ip_b, 80}, options);
@@ -476,7 +491,7 @@ TEST_F(TransportFixture, ThroughputApproachesLineRate) {
   std::uint64_t received = 0;
   sim::Time last_byte_at = 0;
   host_b->listen(80, [&](Connection& c) {
-    c.set_on_data([&](std::string_view d) {
+    c.set_on_data([&](const net::Payload& d) {
       received += d.size();
       last_byte_at = sim.now();
     });
