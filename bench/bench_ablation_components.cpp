@@ -80,12 +80,12 @@ int main(int argc, char** argv) {
   };
 
   workload::SweepRunner runner(workload::sweep_options(options));
-  std::vector<workload::ElibraryScenarioResult> outcomes(variants.size());
+  std::vector<workload::ScenarioResult> outcomes(variants.size());
   for (std::size_t i = 0; i < variants.size(); ++i) {
     const Variant& v = variants[i];
     runner.add({{"variant", v.id}},
                [&v, rps, duration, seed, i, &outcomes] {
-                 workload::ElibraryScenario scenario =
+                 workload::Scenario scenario =
                      workload::fig4_scenario(rps, v.enabled);
                  scenario.duration = duration;
                  scenario.seed = seed;
@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
                    cc.dscp_tagging = v.dscp;
                    scenario.sdn_out_of_band = v.sdn;
                  }
-                 outcomes[i] = workload::run_elibrary_scenario(scenario);
+                 outcomes[i] = workload::run_scenario(scenario);
                  return workload::elibrary_point_metrics(outcomes[i]);
                });
   }
@@ -109,11 +109,11 @@ int main(int argc, char** argv) {
                       "LI p50 (ms)", "LI p99 (ms)", "LS errs", "util"});
   for (std::size_t i = 0; i < variants.size(); ++i) {
     const auto& r = outcomes[i];
-    table.add_row({variants[i].name, stats::Table::num(r.ls.p50_ms, 1),
-                   stats::Table::num(r.ls.p99_ms, 1),
-                   stats::Table::num(r.li.p50_ms, 1),
-                   stats::Table::num(r.li.p99_ms, 1),
-                   std::to_string(r.ls.errors),
+    table.add_row({variants[i].name, stats::Table::num(r.ls().p50_ms, 1),
+                   stats::Table::num(r.ls().p99_ms, 1),
+                   stats::Table::num(r.li().p50_ms, 1),
+                   stats::Table::num(r.li().p99_ms, 1),
+                   std::to_string(r.ls().errors),
                    stats::Table::num(r.bottleneck_utilization, 2)});
   }
 

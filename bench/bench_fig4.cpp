@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
   // One sweep point per (rps, cross_layer) pair; each runs its own
   // simulator and stores the typed result in its slot for the table.
   workload::SweepRunner runner(workload::sweep_options(options));
-  std::vector<workload::ElibraryScenarioResult> outcomes(
+  std::vector<workload::ScenarioResult> outcomes(
       rps_levels.size() * 2);
   for (std::size_t level = 0; level < rps_levels.size(); ++level) {
     const double rps = rps_levels[level];
@@ -66,13 +66,13 @@ int main(int argc, char** argv) {
            {"cross_layer", cross_layer ? "on" : "off"}},
           [rps, cross_layer, duration, warmup_s, cooldown_s, seed, slot,
            &outcomes] {
-            workload::ElibraryScenario scenario =
+            workload::Scenario scenario =
                 workload::fig4_scenario(rps, cross_layer);
             scenario.duration = duration;
             scenario.warmup = sim::seconds(warmup_s);
             scenario.cooldown = sim::seconds(cooldown_s);
             scenario.seed = seed;
-            outcomes[slot] = workload::run_elibrary_scenario(scenario);
+            outcomes[slot] = workload::run_scenario(scenario);
             return workload::elibrary_point_metrics(outcomes[slot]);
           });
     }
@@ -87,10 +87,10 @@ int main(int argc, char** argv) {
   };
   std::vector<Row> rows;
   for (std::size_t level = 0; level < rps_levels.size(); ++level) {
-    const workload::ElibraryScenarioResult& base = outcomes[level * 2];
-    const workload::ElibraryScenarioResult& opt = outcomes[level * 2 + 1];
-    Row row{rps_levels[level], base.ls.p50_ms,  opt.ls.p50_ms,
-            base.ls.p99_ms,    opt.ls.p99_ms,   opt.bottleneck_utilization};
+    const workload::ScenarioResult& base = outcomes[level * 2];
+    const workload::ScenarioResult& opt = outcomes[level * 2 + 1];
+    Row row{rps_levels[level], base.ls().p50_ms,  opt.ls().p50_ms,
+            base.ls().p99_ms,    opt.ls().p99_ms,   opt.bottleneck_utilization};
     rows.push_back(row);
     table.add_row({stats::Table::num(row.rps, 0),
                    stats::Table::num(row.p50_base, 1),
@@ -109,18 +109,18 @@ int main(int argc, char** argv) {
                          "LI p50 w/o (ms)", "LI p50 w/ (ms)"});
   double worst_delta = 0.0;
   for (std::size_t level = 0; level < rps_levels.size(); ++level) {
-    const workload::ElibraryScenarioResult& base = outcomes[level * 2];
-    const workload::ElibraryScenarioResult& opt = outcomes[level * 2 + 1];
+    const workload::ScenarioResult& base = outcomes[level * 2];
+    const workload::ScenarioResult& opt = outcomes[level * 2 + 1];
     const double delta =
-        base.li.p99_ms > 0 ? (opt.li.p99_ms - base.li.p99_ms) / base.li.p99_ms
+        base.li().p99_ms > 0 ? (opt.li().p99_ms - base.li().p99_ms) / base.li().p99_ms
                            : 0.0;
     worst_delta = std::max(worst_delta, delta);
     li_table.add_row({stats::Table::num(rps_levels[level], 0),
-                      stats::Table::num(base.li.p99_ms, 1),
-                      stats::Table::num(opt.li.p99_ms, 1),
+                      stats::Table::num(base.li().p99_ms, 1),
+                      stats::Table::num(opt.li().p99_ms, 1),
                       stats::Table::num(delta * 100.0, 1) + "%",
-                      stats::Table::num(base.li.p50_ms, 1),
-                      stats::Table::num(opt.li.p50_ms, 1)});
+                      stats::Table::num(base.li().p50_ms, 1),
+                      stats::Table::num(opt.li().p50_ms, 1)});
   }
   std::printf("TXT-LI: latency-insensitive workload with vs without "
               "cross-layer optimization\n%s\n",

@@ -48,19 +48,19 @@ constexpr Arm kArms[] = {
 
 /// One arm's figures for the tables and acceptance checks.
 struct ArmView {
-  const workload::ElibraryScenarioResult& r;
+  const workload::ScenarioResult& r;
   std::uint64_t full;     ///< full handshakes
   std::uint64_t resumed;  ///< resumed handshakes
   std::uint64_t tickets;
-  const workload::PhaseSummary& pre;
-  const workload::PhaseSummary& post;
+  const workload::WindowSummary& pre;
+  const workload::WindowSummary& post;
 };
 
-ArmView view(const workload::ElibraryScenarioResult& r) {
+ArmView view(const workload::ScenarioResult& r) {
   return {r,
-          workload::counter_total(r.metrics, "tls_handshakes_full_total"),
-          workload::counter_total(r.metrics, "tls_handshakes_resumed_total"),
-          workload::counter_total(r.metrics, "tls_tickets_issued_total"),
+          r.metrics.counter_total("tls_handshakes_full_total"),
+          r.metrics.counter_total("tls_handshakes_resumed_total"),
+          r.metrics.counter_total("tls_tickets_issued_total"),
           r.phase("pre"),
           r.phase("post")};
 }
@@ -75,8 +75,8 @@ void print_comparison(const ArmView& plaintext, const ArmView& mtls_full,
               "ls_p99", "li_p50", "li_p99", "li_rps", "bneck", "handshakes");
   const auto steady_row = [](const char* arm, const ArmView& a) {
     std::printf("  %-12s %8.2f %8.2f %8.2f %8.2f %7.1f %6.3f %6llu+%llur\n",
-                arm, a.r.ls.p50_ms, a.r.ls.p99_ms, a.r.li.p50_ms,
-                a.r.li.p99_ms, a.r.li.achieved_rps,
+                arm, a.r.ls().p50_ms, a.r.ls().p99_ms, a.r.li().p50_ms,
+                a.r.li().p99_ms, a.r.li().goodput_rps,
                 a.r.bottleneck_utilization,
                 static_cast<unsigned long long>(a.full),
                 static_cast<unsigned long long>(a.resumed));
@@ -101,16 +101,16 @@ void print_comparison(const ArmView& plaintext, const ArmView& mtls_full,
   std::printf(
       "mTLS steady-state overhead: LS p50 +%.2f ms, LI p50 +%.2f ms, LI p99 "
       "+%.2f ms | resumption saves %.2f ms of post-storm p99\n",
-      mtls_resume.r.ls.p50_ms - plaintext.r.ls.p50_ms,
-      mtls_resume.r.li.p50_ms - plaintext.r.li.p50_ms,
-      mtls_resume.r.li.p99_ms - plaintext.r.li.p99_ms,
+      mtls_resume.r.ls().p50_ms - plaintext.r.ls().p50_ms,
+      mtls_resume.r.li().p50_ms - plaintext.r.li().p50_ms,
+      mtls_resume.r.li().p99_ms - plaintext.r.li().p99_ms,
       storm_full.post.p99_ms - storm_resume.post.p99_ms);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  workload::ElibraryScenario base = workload::mtls_scenario(true, true, false);
+  const workload::Scenario base = workload::mtls_scenario(true, true, false);
   const workload::HarnessOptions options = workload::parse_harness_flags(
       argc, argv, "mtls",
       /*default_duration_s=*/static_cast<std::int64_t>(
@@ -119,9 +119,9 @@ int main(int argc, char** argv) {
   const std::uint64_t seed = options.seed;
   const sim::Duration duration = sim::seconds(options.duration_s);
   const double ls_rps =
-      util::double_flag_or_exit(options.flags, "ls-rps", base.ls_rps);
+      util::double_flag_or_exit(options.flags, "ls-rps", base.workloads[0].rps);
   const double li_rps =
-      util::double_flag_or_exit(options.flags, "li-rps", base.li_rps);
+      util::double_flag_or_exit(options.flags, "li-rps", base.workloads[1].rps);
 
   std::printf(
       "MTLS: plaintext vs mTLS e-library, %llds window, seed %llu\n"
@@ -132,21 +132,21 @@ int main(int argc, char** argv) {
 
   workload::SweepRunner runner(workload::sweep_options(options));
   const std::size_t arm_count = std::size(kArms);
-  std::vector<workload::ElibraryScenarioResult> arms(arm_count);
+  std::vector<workload::ScenarioResult> arms(arm_count);
   for (std::size_t i = 0; i < arm_count; ++i) {
     const Arm& arm = kArms[i];
     runner.add({{"arm", arm.name}},
                [arm, seed, duration, ls_rps, li_rps, i, &arms] {
-                 workload::ElibraryScenario scenario = workload::mtls_scenario(
+                 workload::Scenario scenario = workload::mtls_scenario(
                      arm.mtls, arm.resumption, arm.storm);
                  scenario.seed = seed;
                  scenario.duration = duration;
-                 scenario.ls_rps = ls_rps;
-                 scenario.li_rps = li_rps;
+                 scenario.workloads[0].rps = ls_rps;
+                 scenario.workloads[1].rps = li_rps;
                  if (arm.ratings_only) {
-                   scenario.app.policies.mtls_overrides["ratings"] = true;
+                   scenario.mesh.policies.mtls_overrides["ratings"] = true;
                  }
-                 arms[i] = workload::run_elibrary_scenario(scenario);
+                 arms[i] = workload::run_scenario(scenario);
                  return workload::mtls_point_metrics(arms[i]);
                });
   }
@@ -164,7 +164,7 @@ int main(int argc, char** argv) {
   std::printf(
       "per-hop arm (ratings only): p50 %.2f ms, %llu full handshakes "
       "(mesh-wide arm: %llu)\n",
-      mtls_ratings.r.ls.p50_ms,
+      mtls_ratings.r.ls().p50_ms,
       static_cast<unsigned long long>(mtls_ratings.full),
       static_cast<unsigned long long>(mtls_full.full));
 
@@ -172,9 +172,9 @@ int main(int argc, char** argv) {
   // p50/p99 carry the per-record AEAD charge on every hop, and the LS
   // p50 carries the fixed per-request share.
   const bool overhead_ok =
-      mtls_resume.r.ls.p50_ms > plaintext.r.ls.p50_ms &&
-      mtls_resume.r.li.p50_ms > plaintext.r.li.p50_ms &&
-      mtls_resume.r.li.p99_ms > plaintext.r.li.p99_ms;
+      mtls_resume.r.ls().p50_ms > plaintext.r.ls().p50_ms &&
+      mtls_resume.r.li().p50_ms > plaintext.r.li().p50_ms &&
+      mtls_resume.r.li().p99_ms > plaintext.r.li().p99_ms;
   const bool storm_ok = storm_resume.post.p99_ms < storm_full.post.p99_ms &&
                         storm_resume.resumed > 0 && storm_full.full > 0;
   const bool counters_ok = plaintext.full == 0 && mtls_full.full > 0 &&

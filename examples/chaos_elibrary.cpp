@@ -25,9 +25,9 @@ using namespace meshnet;
 namespace {
 
 workload::PointMetrics chaos_point_metrics(
-    const workload::ElibraryScenarioResult& r) {
+    const workload::ScenarioResult& r) {
   workload::PointMetrics metrics;
-  for (const workload::PhaseSummary& phase : r.phases) {
+  for (const workload::WindowSummary& phase : r.phases) {
     metrics.scalars[phase.name + "_goodput_rps"] = phase.goodput_rps;
     metrics.scalars[phase.name + "_success_rate"] = phase.success_rate;
     metrics.scalars[phase.name + "_p50_ms"] = phase.p50_ms;
@@ -35,8 +35,8 @@ workload::PointMetrics chaos_point_metrics(
     metrics.counters[phase.name + "_completed"] = phase.completed;
     metrics.counters[phase.name + "_errors"] = phase.errors;
   }
-  metrics.counters["breaker_events"] = workload::counter_total(
-      r.metrics, "mesh_events_total", {{"kind", "breaker"}});
+  metrics.counters["breaker_events"] =
+      r.metrics.counter_total("mesh_events_total", {{"kind", "breaker"}});
   metrics.counters["health_evictions"] = workload::health_events(r, "evicted");
   metrics.counters["health_readmissions"] =
       workload::health_events(r, "readmitted");
@@ -53,16 +53,18 @@ workload::PointMetrics chaos_point_metrics(
 }  // namespace
 
 int main(int argc, char** argv) {
-  const workload::ElibraryScenario defaults = workload::chaos_scenario(true);
+  const workload::Scenario defaults = workload::chaos_scenario(true);
   const workload::HarnessOptions options = workload::parse_harness_flags(
       argc, argv, "chaos_elibrary",
       /*default_duration_s=*/static_cast<std::int64_t>(
           sim::to_seconds(defaults.duration)),
       /*default_seed=*/defaults.seed, {"ls-rps", "li-rps", "fault-duration-s"});
   const double ls_rps =
-      util::double_flag_or_exit(options.flags, "ls-rps", defaults.ls_rps);
+      util::double_flag_or_exit(options.flags, "ls-rps",
+                                defaults.workloads[0].rps);
   const double li_rps =
-      util::double_flag_or_exit(options.flags, "li-rps", defaults.li_rps);
+      util::double_flag_or_exit(options.flags, "li-rps",
+                                defaults.workloads[1].rps);
   const std::int64_t fault_duration_s =
       util::int_flag_or_exit(options.flags, "fault-duration-s", 10);
 
@@ -73,20 +75,20 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(options.seed));
 
   workload::SweepRunner runner(workload::sweep_options(options));
-  std::vector<workload::ElibraryScenarioResult> arms(2);
+  std::vector<workload::ScenarioResult> arms(2);
   for (const bool resilience : {true, false}) {
     const std::size_t slot = resilience ? 0 : 1;
     runner.add({{"resilience", resilience ? "on" : "off"}},
                [&options, ls_rps, li_rps, fault_duration_s, resilience, slot,
                 &arms] {
-                 workload::ElibraryScenario scenario = workload::chaos_scenario(
+                 workload::Scenario scenario = workload::chaos_scenario(
                      resilience, sim::seconds(6),
                      sim::seconds(fault_duration_s));
                  scenario.seed = options.seed;
                  scenario.duration = sim::seconds(options.duration_s);
-                 scenario.ls_rps = ls_rps;
-                 scenario.li_rps = li_rps;
-                 arms[slot] = workload::run_elibrary_scenario(scenario);
+                 scenario.workloads[0].rps = ls_rps;
+                 scenario.workloads[1].rps = li_rps;
+                 arms[slot] = workload::run_scenario(scenario);
                  return chaos_point_metrics(arms[slot]);
                });
   }
@@ -96,7 +98,7 @@ int main(int argc, char** argv) {
   std::printf("  %-9s %-7s %8s %10s %9s %9s\n", "arm", "phase", "goodput",
               "success", "p50ms", "p99ms");
   for (std::size_t slot = 0; slot < 2; ++slot) {
-    for (const workload::PhaseSummary& p : arms[slot].phases) {
+    for (const workload::WindowSummary& p : arms[slot].phases) {
       std::printf("  %-9s %-7s %8.1f %9.2f%% %9.1f %9.1f\n",
                   slot == 0 ? "resilient" : "baseline", p.name.c_str(),
                   p.goodput_rps, 100.0 * p.success_rate, p.p50_ms, p.p99_ms);

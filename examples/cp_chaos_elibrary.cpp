@@ -32,7 +32,7 @@
 using namespace meshnet;
 
 int main(int argc, char** argv) {
-  const workload::ElibraryScenario defaults =
+  const workload::Scenario defaults =
       workload::cp_chaos_scenario(true);
   const workload::HarnessOptions options = workload::parse_harness_flags(
       argc, argv, "cp",
@@ -42,9 +42,9 @@ int main(int argc, char** argv) {
       {"ls-rps", "li-rps", "outage-duration-s", "churn-period-s"});
   const util::Flags& flags = options.flags;
   const double ls_rps =
-      util::double_flag_or_exit(flags, "ls-rps", defaults.ls_rps);
+      util::double_flag_or_exit(flags, "ls-rps", defaults.workloads[0].rps);
   const double li_rps =
-      util::double_flag_or_exit(flags, "li-rps", defaults.li_rps);
+      util::double_flag_or_exit(flags, "li-rps", defaults.workloads[1].rps);
   const std::int64_t outage_s =
       util::int_flag_or_exit(flags, "outage-duration-s", 30);
   const std::int64_t churn_s =
@@ -58,27 +58,27 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(options.seed));
 
   workload::SweepRunner runner(workload::sweep_options(options));
-  std::vector<workload::ElibraryScenarioResult> arms(2);
+  std::vector<workload::ScenarioResult> arms(2);
   for (const bool outage : {true, false}) {
     const std::size_t slot = outage ? 0 : 1;
     runner.add({{"outage", outage ? "on" : "off"}},
                [&options, ls_rps, li_rps, outage_s, churn_s, outage, slot,
                 &arms] {
-                 workload::ElibraryScenario scenario =
+                 workload::Scenario scenario =
                      workload::cp_chaos_scenario(
                          outage, sim::seconds(5), sim::seconds(outage_s),
                          sim::seconds(churn_s));
                  scenario.seed = options.seed;
                  scenario.duration = sim::seconds(options.duration_s);
-                 scenario.ls_rps = ls_rps;
-                 scenario.li_rps = li_rps;
-                 arms[slot] = workload::run_elibrary_scenario(scenario);
+                 scenario.workloads[0].rps = ls_rps;
+                 scenario.workloads[1].rps = li_rps;
+                 arms[slot] = workload::run_scenario(scenario);
                  return workload::cp_point_metrics(arms[slot]);
                });
   }
   const workload::SweepResult sweep = runner.run();
-  const workload::ElibraryScenarioResult& outage_arm = arms[0];
-  const workload::ElibraryScenarioResult& control_arm = arms[1];
+  const workload::ScenarioResult& outage_arm = arms[0];
+  const workload::ScenarioResult& control_arm = arms[1];
   const auto& counters = sweep.points[0].metrics.counters;
   const auto count = [&counters](const char* name) {
     return static_cast<unsigned long long>(counters.at(name));
@@ -87,9 +87,9 @@ int main(int argc, char** argv) {
   std::printf("LS workload by phase (CP outage = 'during'):\n");
   std::printf("  %-8s %-7s %8s %10s %9s %9s\n", "arm", "phase", "goodput",
               "success", "p50ms", "p99ms");
-  for (const workload::ElibraryScenarioResult* arm :
+  for (const workload::ScenarioResult* arm :
        {&outage_arm, &control_arm}) {
-    for (const workload::PhaseSummary& p : arm->phases) {
+    for (const workload::WindowSummary& p : arm->phases) {
       std::printf("  %-8s %-7s %8.1f %9.2f%% %9.1f %9.1f\n",
                   arm == &outage_arm ? "outage" : "control", p.name.c_str(),
                   p.goodput_rps, 100.0 * p.success_rate, p.p50_ms, p.p99_ms);

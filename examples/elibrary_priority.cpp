@@ -37,16 +37,16 @@ int main(int argc, char** argv) {
               "  all vNICs 15 Gbps, ratings vNIC 1 Gbps (bottleneck)\n\n");
 
   workload::SweepRunner runner(workload::sweep_options(options));
-  std::vector<workload::ElibraryScenarioResult> results(2);
+  std::vector<workload::ScenarioResult> results(2);
   for (const bool cross_layer : {false, true}) {
     const std::size_t slot = cross_layer ? 1 : 0;
     runner.add({{"cross_layer", cross_layer ? "on" : "off"}},
                [rps, duration, seed, cross_layer, slot, &results] {
-                 workload::ElibraryScenario scenario =
+                 workload::Scenario scenario =
                      workload::fig4_scenario(rps, cross_layer);
                  scenario.duration = duration;
                  scenario.seed = seed;
-                 results[slot] = workload::run_elibrary_scenario(scenario);
+                 results[slot] = workload::run_scenario(scenario);
                  return workload::elibrary_point_metrics(results[slot]);
                });
   }
@@ -67,10 +67,10 @@ int main(int argc, char** argv) {
                          : stats::Table::num((opt - base) / base * 100.0, 1) +
                                "%"});
   };
-  row("LS p50 (ms)", results[0].ls.p50_ms, results[1].ls.p50_ms, true);
-  row("LS p99 (ms)", results[0].ls.p99_ms, results[1].ls.p99_ms, true);
-  row("LI p50 (ms)", results[0].li.p50_ms, results[1].li.p50_ms, false);
-  row("LI p99 (ms)", results[0].li.p99_ms, results[1].li.p99_ms, false);
+  row("LS p50 (ms)", results[0].ls().p50_ms, results[1].ls().p50_ms, true);
+  row("LS p99 (ms)", results[0].ls().p99_ms, results[1].ls().p99_ms, true);
+  row("LI p50 (ms)", results[0].li().p50_ms, results[1].li().p50_ms, false);
+  row("LI p99 (ms)", results[0].li().p99_ms, results[1].li().p99_ms, false);
   std::printf("\n%s\n", table.to_string().c_str());
 
   std::printf("bottleneck utilization: %.2f (w/o) vs %.2f (w/)\n",

@@ -34,7 +34,7 @@ std::string format_factor(double factor) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const workload::ElibraryScenario defaults =
+  const workload::Scenario defaults =
       workload::overload_scenario(2.0, true);
   const workload::HarnessOptions options = workload::parse_harness_flags(
       argc, argv, "overload",
@@ -44,7 +44,8 @@ int main(int argc, char** argv) {
   const double capacity_rps =
       util::double_flag_or_exit(options.flags, "capacity-rps", 90.0);
   const double ls_rps =
-      util::double_flag_or_exit(options.flags, "ls-rps", defaults.ls_rps);
+      util::double_flag_or_exit(options.flags, "ls-rps",
+                                defaults.workloads[0].rps);
 
   std::printf(
       "overload e-library: capacity ~%.0f rps, LS fixed at %.0f rps,\n"
@@ -58,13 +59,13 @@ int main(int argc, char** argv) {
       runner.add({{"load", format_factor(kLoadFactors[i]) + "x"},
                   {"admission", admission ? "on" : "off"}},
                  [&options, capacity_rps, ls_rps, i, admission] {
-                   workload::ElibraryScenario scenario =
+                   workload::Scenario scenario =
                        workload::overload_scenario(kLoadFactors[i], admission,
                                                    capacity_rps, ls_rps);
                    scenario.seed = options.seed;
                    scenario.duration = sim::seconds(options.duration_s);
                    return workload::overload_point_metrics(
-                       workload::run_elibrary_scenario(scenario));
+                       workload::run_scenario(scenario));
                  });
     }
   }

@@ -22,34 +22,33 @@ Elibrary::Elibrary(sim::Simulator& sim, ElibraryOptions options)
     : sim_(sim), options_(std::move(options)) {
   cluster::MeshBuilder builder(sim_);
   std::string error;
-  mesh_ = builder.build(make_spec(), &error);
+  mesh_ = builder.build(elibrary_mesh_spec(options_), &error);
   if (mesh_ == nullptr) {
     // The spec below is static, so this is unreachable short of a
     // programming error in this file.
     std::abort();
   }
   gateway_ = mesh_->gateway_pod();
-  client_ = mesh_->pod("external-client");
+  client_ = mesh_->pod(std::string(kClientPod));
 }
 
-cluster::MeshSpec Elibrary::make_spec() const {
-  const std::size_t base = options_.component_bytes;
-  const std::size_t bulk = base * options_.analytics_multiplier;
-  const sim::Duration think = options_.service_time;
+cluster::MeshSpec elibrary_mesh_spec(const ElibraryOptions& options) {
+  const std::size_t base = options.component_bytes;
+  const std::size_t bulk = base * options.analytics_multiplier;
+  const sim::Duration think = options.service_time;
 
   cluster::MeshSpec spec;
-  spec.cluster.default_link_bps = options_.link_bps;
-  spec.cluster.default_link_delay = options_.link_delay;
+  spec.cluster.default_link_bps = 15e9;  // paper: 15 Gbps emulated links
+  spec.cluster.default_link_delay = sim::microseconds(20);
   // One worker node, as in the paper's single-server KIND deployment.
   spec.nodes = {"kind-worker"};
-  spec.policies = options_.policies;
+  spec.policies = options.policies;
 
   spec.gateway.enabled = true;
-  spec.gateway.port = kGatewayPort;
+  spec.gateway.port = Elibrary::kGatewayPort;
 
   MicroserviceOptions base_options;
-  base_options.max_concurrency = options_.app_max_concurrency;
-  base_options.priority_scheduling = options_.app_priority_scheduling;
+  base_options.max_concurrency = options.app_max_concurrency;
 
   // frontend: fans out to details and reviews, regardless of workload;
   // the path decides which flavour the downstream serves.
@@ -58,8 +57,7 @@ cluster::MeshSpec Elibrary::make_spec() const {
     frontend.name = "frontend";
     frontend.calls = {"details", "reviews"};
     frontend.app = base_options;
-    frontend.app.propagate_priority_header =
-        options_.frontend_propagates_priority;
+    frontend.app.propagate_priority_header = true;
     frontend.handler = [base, think](const http::HttpRequest& request) {
       HandlerResult plan;
       plan.processing_delay = think;
@@ -125,7 +123,7 @@ cluster::MeshSpec Elibrary::make_spec() const {
   {
     cluster::ServiceSpec ratings;
     ratings.name = "ratings";
-    ratings.pod.link_bps = options_.bottleneck_bps;  // the 1 Gbps bottleneck
+    ratings.pod.link_bps = 1e9;  // paper: the 1 Gbps reviews<->ratings link
     ratings.app = base_options;
     ratings.handler = [base, bulk, think](const http::HttpRequest& request) {
       HandlerResult plan;
@@ -139,7 +137,7 @@ cluster::MeshSpec Elibrary::make_spec() const {
 
   // The external client: a host outside the mesh with a fat pipe in.
   spec.external_pods.push_back(cluster::ExternalPodSpec{
-      "external-client", "",
+      std::string(Elibrary::kClientPod), "",
       cluster::PodOptions{40e9, sim::microseconds(50), {}}});
   return spec;
 }
@@ -149,7 +147,7 @@ net::SocketAddress Elibrary::gateway_address() const {
 }
 
 net::Link& Elibrary::bottleneck_link() {
-  return mesh_->pod("ratings-v1")->egress_link();
+  return mesh_->pod(std::string(kBottleneckPod))->egress_link();
 }
 
 std::size_t Elibrary::expected_ls_body_bytes() const {

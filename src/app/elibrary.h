@@ -30,35 +30,33 @@
 namespace meshnet::app {
 
 struct ElibraryOptions {
-  double link_bps = 15e9;         ///< paper: 15 Gbps emulated links
-  double bottleneck_bps = 1e9;    ///< paper: 1 Gbps reviews<->ratings
-  sim::Duration link_delay = sim::microseconds(20);
-
   std::size_t component_bytes = 8 * 1024;   ///< LS per-component payload
   std::size_t analytics_multiplier = 200;   ///< paper: ~200x larger
   sim::Duration service_time = sim::milliseconds(2);  ///< app think time/hop
 
-  /// Paper §4.3 step 1: the front-end app itself attaches the priority
-  /// bits onto the sub-requests it spawns; deeper services rely on the
-  /// mesh's provenance propagation.
-  bool frontend_propagates_priority = true;
-
-  /// Compute model for every microservice instance: worker count (0 =
-  /// unlimited) and whether the admission queue is priority-ordered
-  /// (paper §5 "prioritized request queuing").
+  /// Worker count of every microservice instance (0 = unlimited).
   int app_max_concurrency = 0;
-  bool app_priority_scheduling = false;
 
   mesh::MeshPolicies policies = default_policies();
 
   static mesh::MeshPolicies default_policies();
 };
 
+/// The whole app as data: the mesh Elibrary builds. Links are the
+/// paper's 15 Gbps with 20 us delay, except the ratings pod's 1 Gbps
+/// bottleneck; the front end attaches the priority header to the
+/// sub-requests it spawns (paper §4.3 step 1), deeper services rely on
+/// the mesh's provenance propagation.
+cluster::MeshSpec elibrary_mesh_spec(const ElibraryOptions& options = {});
+
 class Elibrary {
  public:
   static constexpr std::string_view kLsPathPrefix = "/product";
   static constexpr std::string_view kLiPathPrefix = "/analytics";
   static constexpr net::Port kGatewayPort = 80;
+  static constexpr std::string_view kClientPod = "external-client";
+  /// Its egress vNIC is the contended link.
+  static constexpr std::string_view kBottleneckPod = "ratings-v1";
 
   Elibrary(sim::Simulator& sim, ElibraryOptions options = {});
   Elibrary(const Elibrary&) = delete;
@@ -86,10 +84,6 @@ class Elibrary {
   std::size_t expected_li_body_bytes() const;
 
  private:
-  /// The whole app as data: the declarative equivalent of the old
-  /// hand-wired build_topology()/build_services() pair.
-  cluster::MeshSpec make_spec() const;
-
   sim::Simulator& sim_;
   ElibraryOptions options_;
   std::unique_ptr<cluster::BuiltMesh> mesh_;

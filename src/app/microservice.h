@@ -75,6 +75,7 @@ class Microservice {
   Microservice(const Microservice&) = delete;
   Microservice& operator=(const Microservice&) = delete;
 
+  const cluster::Pod& pod() const noexcept { return pod_; }
   const std::string& service() const noexcept { return pod_.service(); }
   std::uint64_t requests_served() const noexcept {
     return server_->requests_served();

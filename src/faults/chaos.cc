@@ -124,8 +124,10 @@ ChaosController::ChaosController(sim::Simulator& sim,
                                  cluster::Cluster& cluster, std::uint64_t seed)
     : sim_(sim), cluster_(cluster), seed_(seed) {}
 
-void ChaosController::schedule(const FaultPlan& plan) {
-  for (const FaultEntry& entry : plan.entries()) {
+void ChaosController::schedule(const FaultPlan& plan, sim::Duration offset) {
+  // The closure is {this, FaultEntry}, whatever the offset.
+  for (FaultEntry entry : plan.entries()) {
+    entry.at += offset;
     sim_.schedule_at(entry.at, [this, entry] { apply(entry); });
   }
 }

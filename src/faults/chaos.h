@@ -128,9 +128,10 @@ class ChaosController {
   ChaosController(sim::Simulator& sim, cluster::Cluster& cluster,
                   std::uint64_t seed = 0);
 
-  /// Schedules every entry of `plan` at its absolute time. May be called
-  /// multiple times (plans compose).
-  void schedule(const FaultPlan& plan);
+  /// Schedules every entry of `plan` at its time plus `offset` (a plan
+  /// written relative to a measured window passes the window's start).
+  /// May be called multiple times (plans compose).
+  void schedule(const FaultPlan& plan, sim::Duration offset = 0);
 
   // Immediate actions (also what scheduled entries call). Each returns
   // whether the fault applied (pod exists, state change happened), and

@@ -9,6 +9,25 @@
 
 namespace meshnet::mesh {
 
+SidecarStats& SidecarStats::operator+=(const SidecarStats& s) {
+  inbound_requests += s.inbound_requests;
+  outbound_requests += s.outbound_requests;
+  upstream_retries += s.upstream_retries;
+  upstream_failures += s.upstream_failures;
+  local_responses += s.local_responses;
+  timeouts += s.timeouts;
+  retries_denied_by_budget += s.retries_denied_by_budget;
+  retries_suppressed_by_overload += s.retries_suppressed_by_overload;
+  health_probes_answered += s.health_probes_answered;
+  downstream_aborts += s.downstream_aborts;
+  configs_applied += s.configs_applied;
+  configs_rejected += s.configs_rejected;
+  deltas_applied += s.deltas_applied;
+  delta_mismatches += s.delta_mismatches;
+  panic_picks += s.panic_picks;
+  return *this;
+}
+
 Sidecar::Sidecar(sim::Simulator& sim, cluster::Pod& pod, Tracer& tracer,
                  TelemetrySink* telemetry, SidecarConfig config)
     : sim_(sim),

@@ -216,6 +216,9 @@ struct SidecarStats {
   /// Second-level panic picks: every health-admitted endpoint was
   /// breaker-rejected, so the pick fell back to the full endpoint set.
   std::uint64_t panic_picks = 0;
+
+  /// Field-wise sum, for mesh-wide totals.
+  SidecarStats& operator+=(const SidecarStats& s);
 };
 
 class Sidecar {

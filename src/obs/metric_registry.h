@@ -115,6 +115,10 @@ struct MetricsSnapshot {
 
   const SeriesSnapshot* find(std::string_view name,
                              const Labels& labels = {}) const;
+  /// Sum of the counter series called `name` whose labels include every
+  /// pair in `match` (0 when there are none).
+  std::uint64_t counter_total(std::string_view name,
+                              const Labels& match = {}) const;
 
   /// Folds `other` in: counters sum, histograms merge, gauges take max.
   /// Series missing on either side are unioned in. Order-independent for

@@ -149,6 +149,15 @@ namespace {
   std::exit(2);
 }
 
+[[noreturn]] void exit_below_min(std::string_view name, std::string_view value,
+                                 std::int64_t min) {
+  std::fprintf(stderr, "value for --%.*s below %lld: '%.*s'\n",
+               static_cast<int>(name.size()), name.data(),
+               static_cast<long long>(min), static_cast<int>(value.size()),
+               value.data());
+  std::exit(2);
+}
+
 /// strtoll/strtod over the whole value; exits 2 naming the flag when any
 /// of it does not parse.
 template <typename T>
@@ -173,8 +182,12 @@ T numeric_flag_or_exit(const Flags& flags, std::string_view name,
 }  // namespace
 
 std::int64_t int_flag_or_exit(const Flags& flags, std::string_view name,
-                              std::int64_t fallback) {
-  return numeric_flag_or_exit(flags, name, fallback);
+                              std::int64_t fallback, std::int64_t min) {
+  const std::int64_t value = numeric_flag_or_exit(flags, name, fallback);
+  if (value < min) {
+    exit_below_min(name, flags.get_or(name, std::to_string(fallback)), min);
+  }
+  return value;
 }
 
 double double_flag_or_exit(const Flags& flags, std::string_view name,
@@ -184,7 +197,8 @@ double double_flag_or_exit(const Flags& flags, std::string_view name,
 
 std::vector<int> int_list_flag_or_exit(const Flags& flags,
                                        std::string_view name,
-                                       std::string_view fallback) {
+                                       std::string_view fallback,
+                                       int min) {
   const std::string text = flags.get_or(name, fallback);
   std::vector<int> values;
   for (const std::string_view entry : split(text, ',')) {
@@ -192,6 +206,7 @@ std::vector<int> int_list_flag_or_exit(const Flags& flags,
     if (!value || *value > static_cast<std::uint64_t>(INT_MAX)) {
       exit_malformed(name, text);
     }
+    if (static_cast<int>(*value) < min) exit_below_min(name, text, min);
     values.push_back(static_cast<int>(*value));
   }
   return values;

@@ -11,6 +11,7 @@
 // whitelist those by prefix.
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -67,17 +68,19 @@ class Flags {
 };
 
 /// Strict flag readers: `fallback` when the flag is absent; when its
-/// value does not parse in full, print the flag's name and exit 2
-/// (Flags::get_*_or would silently fall back).
-std::int64_t int_flag_or_exit(const Flags& flags, std::string_view name,
-                              std::int64_t fallback);
+/// value does not parse in full, or an int is below `min`, print the
+/// flag's name and exit 2 (Flags::get_*_or would silently fall back).
+std::int64_t int_flag_or_exit(
+    const Flags& flags, std::string_view name, std::int64_t fallback,
+    std::int64_t min = std::numeric_limits<std::int64_t>::min());
 double double_flag_or_exit(const Flags& flags, std::string_view name,
                            double fallback);
-/// Comma-separated non-negative ints ("10,50,100"), parsed from
+/// Comma-separated ints of at least `min` ("10,50,100"), parsed from
 /// `fallback` when the flag is absent. An empty entry (so also an empty
 /// list) or any entry that is not a whole int exits 2 naming the flag.
 std::vector<int> int_list_flag_or_exit(const Flags& flags,
                                        std::string_view name,
-                                       std::string_view fallback);
+                                       std::string_view fallback,
+                                       int min = 0);
 
 }  // namespace meshnet::util

@@ -112,24 +112,18 @@ namespace {
 /// shared by every e-library metric set (which name the throughput
 /// "<prefix><rps_suffix>").
 void add_workload(PointMetrics& metrics, const std::string& prefix,
-                  const WorkloadSummary& summary, const char* rps_suffix) {
+                  const WindowSummary& summary, const char* rps_suffix) {
   metrics.scalars[prefix + "_p50_ms"] = summary.p50_ms;
   metrics.scalars[prefix + "_p90_ms"] = summary.p90_ms;
   metrics.scalars[prefix + "_p99_ms"] = summary.p99_ms;
   metrics.scalars[prefix + "_mean_ms"] = summary.mean_ms;
-  metrics.scalars[prefix + rps_suffix] = summary.achieved_rps;
+  metrics.scalars[prefix + rps_suffix] = summary.goodput_rps;
   metrics.counters[prefix + "_completed"] = summary.completed;
   metrics.counters[prefix + "_errors"] = summary.errors;
 }
 
-double success_rate(const WorkloadSummary& summary) {
-  const double total = static_cast<double>(summary.completed + summary.errors);
-  return total > 0 ? static_cast<double>(summary.completed) / total : 1.0;
-}
-
-/// Scheduler profile. Deterministic (pure functions of the config, like
-/// every other counter here), so safe in compared baselines, and
-/// determinism witnesses for the event-loop internals.
+/// Scheduler profile: deterministic like every counter here, so it is
+/// compared in baselines and witnesses the event-loop internals.
 void add_engine_counters(PointMetrics& metrics, const sim::LoopStats& loop) {
   metrics.counters["engine_scheduled"] = loop.scheduled;
   metrics.counters["engine_cancelled"] = loop.cancelled;
@@ -141,8 +135,8 @@ void add_engine_counters(PointMetrics& metrics, const sim::LoopStats& loop) {
 }
 
 /// Per-phase LS goodput, success rate and latency, keyed by phase name.
-void add_phases(PointMetrics& metrics, const ElibraryScenarioResult& result) {
-  for (const PhaseSummary& phase : result.phases) {
+void add_phases(PointMetrics& metrics, const ScenarioResult& result) {
+  for (const WindowSummary& phase : result.phases) {
     metrics.scalars[phase.name + "_goodput_rps"] = phase.goodput_rps;
     metrics.scalars[phase.name + "_success_rate"] = phase.success_rate;
     metrics.scalars[phase.name + "_p50_ms"] = phase.p50_ms;
@@ -155,78 +149,78 @@ void add_phases(PointMetrics& metrics, const ElibraryScenarioResult& result) {
 
 }  // namespace
 
-PointMetrics elibrary_point_metrics(const ElibraryScenarioResult& result) {
+PointMetrics elibrary_point_metrics(const ScenarioResult& result) {
   PointMetrics metrics;
-  add_workload(metrics, "ls", result.ls, "_rps");
-  add_workload(metrics, "li", result.li, "_rps");
-  metrics.scalars["ls_success_rate"] = success_rate(result.ls);
-  metrics.scalars["li_success_rate"] = success_rate(result.li);
+  add_workload(metrics, "ls", result.ls(), "_rps");
+  add_workload(metrics, "li", result.li(), "_rps");
+  metrics.scalars["ls_success_rate"] = result.ls().success_rate;
+  metrics.scalars["li_success_rate"] = result.li().success_rate;
   metrics.scalars["bottleneck_utilization"] = result.bottleneck_utilization;
   metrics.counters["bottleneck_drops"] = result.bottleneck_drops;
   metrics.counters["events"] = result.events_executed;
   add_engine_counters(metrics, result.loop_stats);
-  metrics.histograms["ls_latency_ns"] = result.ls_latency;
-  metrics.histograms["li_latency_ns"] = result.li_latency;
+  metrics.histograms["ls_latency_ns"] = result.ls().latency;
+  metrics.histograms["li_latency_ns"] = result.li().latency;
   metrics.snapshot = result.metrics;
   return metrics;
 }
 
-PointMetrics overload_point_metrics(const ElibraryScenarioResult& result) {
+PointMetrics overload_point_metrics(const ScenarioResult& result) {
   PointMetrics metrics;
-  add_workload(metrics, "ls", result.ls, "_achieved_rps");
-  add_workload(metrics, "li", result.li, "_achieved_rps");
+  add_workload(metrics, "ls", result.ls(), "_achieved_rps");
+  add_workload(metrics, "li", result.li(), "_achieved_rps");
   // admission_* series (one per service/class/reason) folded into the
   // by-class and by-reason totals the acceptance criteria talk about.
   const obs::MetricsSnapshot& snap = result.metrics;
-  const std::uint64_t ls_shed = counter_total(
-      snap, "admission_shed_total", {{"class", "latency-sensitive"}});
+  const std::uint64_t ls_shed = snap.counter_total(
+      "admission_shed_total", {{"class", "latency-sensitive"}});
   const std::uint64_t li_shed =
-      counter_total(snap, "admission_shed_total", {{"class", "scavenger"}});
+      snap.counter_total("admission_shed_total", {{"class", "scavenger"}});
   metrics.counters["ls_shed"] = ls_shed;
   metrics.counters["li_shed"] = li_shed;
   metrics.counters["default_shed"] =
-      counter_total(snap, "admission_shed_total") - ls_shed - li_shed;
+      snap.counter_total("admission_shed_total") - ls_shed - li_shed;
   metrics.counters["shed_queue_full"] =
-      counter_total(snap, "admission_shed_total", {{"reason", "queue-full"}});
+      snap.counter_total("admission_shed_total", {{"reason", "queue-full"}});
   metrics.counters["shed_deadline"] =
-      counter_total(snap, "admission_shed_total", {{"reason", "deadline"}});
+      snap.counter_total("admission_shed_total", {{"reason", "deadline"}});
   metrics.counters["shed_preempted"] =
-      counter_total(snap, "admission_shed_total", {{"reason", "preempted"}});
+      snap.counter_total("admission_shed_total", {{"reason", "preempted"}});
   metrics.counters["admission_accepted"] =
-      counter_total(snap, "admission_accepted_total");
+      snap.counter_total("admission_accepted_total");
   metrics.counters["admission_queued"] =
-      counter_total(snap, "admission_queued_total");
+      snap.counter_total("admission_queued_total");
   metrics.counters["upstream_retries"] = result.sidecars.upstream_retries;
   metrics.counters["retries_suppressed_by_overload"] =
       result.sidecars.retries_suppressed_by_overload;
   metrics.counters["timeouts"] = result.sidecars.timeouts;
   metrics.counters["events"] = result.events_executed;
-  metrics.histograms["ls_latency_ns"] = result.ls_latency;
-  metrics.histograms["li_latency_ns"] = result.li_latency;
+  metrics.histograms["ls_latency_ns"] = result.ls().latency;
+  metrics.histograms["li_latency_ns"] = result.li().latency;
   metrics.snapshot = result.metrics;
   return metrics;
 }
 
-PointMetrics cp_point_metrics(const ElibraryScenarioResult& result) {
+PointMetrics cp_point_metrics(const ScenarioResult& result) {
   PointMetrics metrics;
   add_phases(metrics, result);
-  metrics.scalars["ls_p99_ms"] = result.ls.p99_ms;
-  metrics.scalars["li_p99_ms"] = result.li.p99_ms;
+  metrics.scalars["ls_p99_ms"] = result.ls().p99_ms;
+  metrics.scalars["li_p99_ms"] = result.li().p99_ms;
   metrics.scalars["reconverge_ms"] = result.reconverge_ms;
   metrics.scalars["max_staleness_ms"] = result.max_staleness_ms;
-  metrics.counters["ls_completed"] = result.ls.completed;
-  metrics.counters["ls_errors"] = result.ls.errors;
-  metrics.counters["li_completed"] = result.li.completed;
-  metrics.counters["li_errors"] = result.li.errors;
+  metrics.counters["ls_completed"] = result.ls().completed;
+  metrics.counters["ls_errors"] = result.ls().errors;
+  metrics.counters["li_completed"] = result.li().completed;
+  metrics.counters["li_errors"] = result.li().errors;
   const obs::MetricsSnapshot& snap = result.metrics;
   for (const char* name :
        {"push_attempts", "push_acks", "push_nacks", "push_retries",
         "push_dropped", "config_rollbacks", "cert_rotations"}) {
     metrics.counters[name] =
-        counter_total(snap, "cp_" + std::string(name) + "_total");
+        snap.counter_total("cp_" + std::string(name) + "_total");
   }
   metrics.counters["push_skipped_noop"] =
-      counter_total(snap, "cp_push_skipped_noop");
+      snap.counter_total("cp_push_skipped_noop");
   metrics.counters["final_epoch"] = result.final_epoch;
   metrics.counters["stale_sidecars_at_end"] = result.stale_sidecars_at_end;
   metrics.counters["converged"] = result.converged ? 1 : 0;
@@ -247,10 +241,10 @@ PointMetrics cp_point_metrics(const ElibraryScenarioResult& result) {
   return metrics;
 }
 
-PointMetrics mtls_point_metrics(const ElibraryScenarioResult& result) {
+PointMetrics mtls_point_metrics(const ScenarioResult& result) {
   PointMetrics metrics;
-  add_workload(metrics, "ls", result.ls, "_rps");
-  add_workload(metrics, "li", result.li, "_rps");
+  add_workload(metrics, "ls", result.ls(), "_rps");
+  add_workload(metrics, "li", result.li(), "_rps");
   add_phases(metrics, result);
   metrics.scalars["bottleneck_utilization"] = result.bottleneck_utilization;
   metrics.counters["bottleneck_drops"] = result.bottleneck_drops;
@@ -262,10 +256,10 @@ PointMetrics mtls_point_metrics(const ElibraryScenarioResult& result) {
         "records_encrypted", "records_decrypted", "bytes_encrypted",
         "bytes_decrypted", "alerts"}) {
     const std::string series = "tls_" + std::string(name);
-    metrics.counters[series] = counter_total(result.metrics, series + "_total");
+    metrics.counters[series] = result.metrics.counter_total(series + "_total");
   }
   metrics.counters["cert_rotations"] =
-      counter_total(result.metrics, "cp_cert_rotations_total");
+      result.metrics.counter_total("cp_cert_rotations_total");
   const mesh::SidecarStats& sidecars = result.sidecars;
   metrics.counters["upstream_retries"] = sidecars.upstream_retries;
   metrics.counters["timeouts"] = sidecars.timeouts;
@@ -310,53 +304,67 @@ PointMetrics parsim_point_metrics(const ParsimExperimentResult& result) {
   return metrics;
 }
 
-PointMetrics meshscale_point_metrics(const MeshscaleExperimentResult& result) {
+PointMetrics meshscale_point_metrics(
+    const std::vector<ScenarioResult>& cells) {
   PointMetrics metrics;
-  // Workload surface.
-  metrics.counters["requests_generated"] = result.requests_generated;
-  metrics.counters["responses"] = result.responses;
-  metrics.counters["successes"] = result.successes;
-  metrics.counters["failures"] = result.failures;
-  metrics.scalars["success_rate"] =
-      result.responses > 0 ? static_cast<double>(result.successes) /
-                                 static_cast<double>(result.responses)
-                           : 0.0;
-  // The e2e histogram is recorded in MICROSECONDS (see the experiment).
-  metrics.scalars["e2e_p50_ms"] =
-      static_cast<double>(result.e2e_latency.percentile(50.0)) / 1000.0;
-  metrics.scalars["e2e_p99_ms"] =
-      static_cast<double>(result.e2e_latency.percentile(99.0)) / 1000.0;
-  metrics.scalars["e2e_mean_ms"] = result.e2e_latency.mean() / 1000.0;
-  metrics.histograms["e2e_latency_us"] = result.e2e_latency;
-  metrics.snapshot = result.metrics;
-  // Control-plane push-channel surface.
-  metrics.counters["cp_epochs"] = result.epochs;
-  metrics.counters["cp_pushes"] = result.cp_pushes;
-  metrics.counters["cp_full_pushes"] = result.bytes.full_pushes;
-  metrics.counters["cp_delta_pushes"] = result.bytes.delta_pushes;
-  metrics.counters["cp_delta_fallbacks"] = result.bytes.delta_fallbacks;
-  metrics.counters["cp_full_push_bytes"] = result.bytes.full_bytes;
-  metrics.counters["cp_delta_push_bytes"] = result.bytes.delta_bytes;
-  metrics.counters["cp_churn_push_bytes"] =
-      result.churn_bytes.full_bytes + result.churn_bytes.delta_bytes;
-  metrics.counters["cp_churn_pushes"] =
-      result.churn_bytes.full_pushes + result.churn_bytes.delta_pushes;
-  metrics.counters["cp_converged"] = result.converged ? 1 : 0;
-  metrics.scalars["churn_convergence_ms"] =
-      sim::to_milliseconds(result.churn_convergence);
-  // Per-sidecar endpoint-table sizes (what scoping/subsetting bound).
-  metrics.counters["sidecars"] = result.sidecars;
-  metrics.counters["endpoint_entries"] = result.endpoint_entries;
-  metrics.counters["max_endpoints_per_sidecar"] =
-      result.max_endpoints_per_sidecar;
-  metrics.scalars["mean_endpoints_per_sidecar"] =
-      result.sidecars > 0 ? static_cast<double>(result.endpoint_entries) /
-                                static_cast<double>(result.sidecars)
-                          : 0.0;
-  // Shape.
-  metrics.counters["services"] = static_cast<std::uint64_t>(result.services);
-  metrics.counters["cells"] = static_cast<std::uint64_t>(result.cells);
-  metrics.counters["events"] = result.events_executed;
+  auto& c = metrics.counters;
+  stats::LogHistogram latency;
+  bool converged = true;
+  sim::Duration churn_convergence = 0;
+  for (const ScenarioResult& cell : cells) {
+    for (const WindowSummary& root : cell.workloads) {
+      c["requests_generated"] += root.sent;
+      c["successes"] += root.succeeded;
+      c["failures"] += root.failed;
+      latency.merge(root.latency);
+    }
+    const auto& end = cell.push_bytes;
+    const auto& churn = cell.push_bytes_at_first_fault;
+    c["cp_full_pushes"] += end.full_pushes;
+    c["cp_delta_pushes"] += end.delta_pushes;
+    c["cp_delta_fallbacks"] += end.delta_fallbacks;
+    c["cp_full_push_bytes"] += end.full_bytes;
+    c["cp_delta_push_bytes"] += end.delta_bytes;
+    c["cp_churn_push_bytes"] += end.full_bytes + end.delta_bytes -
+                                churn.full_bytes - churn.delta_bytes;
+    c["cp_churn_pushes"] += end.full_pushes + end.delta_pushes -
+                            churn.full_pushes - churn.delta_pushes;
+    c["cp_epochs"] += cell.final_epoch;
+    c["cp_pushes"] += cell.cp_pushes;
+    // Reconvergence after the churn restore, the plan's last fault.
+    const sim::Time restored =
+        cell.fault_log.empty() ? 0 : cell.fault_log.back().at;
+    converged = converged && cell.converged &&
+                cell.last_converged_at >= restored;
+    if (converged) {
+      churn_convergence =
+          std::max(churn_convergence, cell.last_converged_at - restored);
+    }
+    // Per-sidecar endpoint-table sizes (what scoping/subsetting bound).
+    for (const std::uint64_t entries : cell.endpoints_per_sidecar) {
+      c["sidecars"] += 1;
+      c["endpoint_entries"] += entries;
+      c["max_endpoints_per_sidecar"] =
+          std::max(c["max_endpoints_per_sidecar"], entries);
+    }
+    c["events"] += cell.events_executed;
+  }
+  c["responses"] = c["successes"] + c["failures"];
+  c["cp_converged"] = converged ? 1 : 0;
+  const auto ratio = [](std::uint64_t part, std::uint64_t whole) {
+    return whole > 0 ? static_cast<double>(part) / static_cast<double>(whole)
+                     : 0.0;
+  };
+  const auto ms = [](double ns) { return ns / 1e6; };
+  auto& scalars = metrics.scalars;
+  scalars["success_rate"] = ratio(c["successes"], c["responses"]);
+  scalars["mean_endpoints_per_sidecar"] =
+      ratio(c["endpoint_entries"], c["sidecars"]);
+  scalars["churn_convergence_ms"] = sim::to_milliseconds(churn_convergence);
+  scalars["e2e_p50_ms"] = ms(static_cast<double>(latency.percentile(50.0)));
+  scalars["e2e_p99_ms"] = ms(static_cast<double>(latency.percentile(99.0)));
+  scalars["e2e_mean_ms"] = ms(latency.mean());
+  metrics.histograms["e2e_latency_ns"] = latency;
   return metrics;
 }
 

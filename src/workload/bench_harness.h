@@ -25,9 +25,8 @@
 
 #include "stats/bench_report.h"
 #include "util/flags.h"
-#include "workload/elibrary_scenario.h"
-#include "workload/meshscale_experiment.h"
 #include "workload/parsim_experiment.h"
+#include "workload/scenario.h"
 #include "workload/sweep_runner.h"
 
 namespace meshnet::workload {
@@ -76,15 +75,15 @@ std::uint64_t bench_allocation_count() noexcept;
 /// FIG4 family (FIG4, TXT-LI, ABL-COMP): per-workload p50/p90/p99/mean,
 /// success rate, completion/error/event counters, the engine_* scheduler
 /// profile and the raw latency histograms.
-PointMetrics elibrary_point_metrics(const ElibraryScenarioResult& result);
+PointMetrics elibrary_point_metrics(const ScenarioResult& result);
 /// OVERLOAD: per-workload latency, admission/shed/retry counters and the
 /// latency histograms.
-PointMetrics overload_point_metrics(const ElibraryScenarioResult& result);
+PointMetrics overload_point_metrics(const ScenarioResult& result);
 /// CHAOS_CP: per-phase LS goodput, push-channel counters and convergence.
-PointMetrics cp_point_metrics(const ElibraryScenarioResult& result);
+PointMetrics cp_point_metrics(const ScenarioResult& result);
 /// MTLS: per-workload latency, the pre/post-storm phases, the tls_*
 /// counter surface and bottleneck utilization.
-PointMetrics mtls_point_metrics(const ElibraryScenarioResult& result);
+PointMetrics mtls_point_metrics(const ScenarioResult& result);
 
 /// The standard metric set for one PARSIM run: workload scalars/counters
 /// (shard- and thread-invariant), the end-to-end latency histogram, the
@@ -94,12 +93,10 @@ PointMetrics mtls_point_metrics(const ElibraryScenarioResult& result);
 /// compare the same surface.
 PointMetrics parsim_point_metrics(const ParsimExperimentResult& result);
 
-/// The standard metric set for one MESHSCALE arm: workload counters and
-/// the e2e latency histogram, the control-plane push-channel surface
-/// (full/delta pushes and bytes, churn-window bytes, reconvergence),
-/// per-sidecar endpoint-table sizes, and the run's shape (services,
-/// cells, events). Shared by bench/bench_meshscale and the
-/// MeshscaleExperiment test so both compare the same surface.
-PointMetrics meshscale_point_metrics(const MeshscaleExperimentResult& result);
+/// The standard metric set for one MESHSCALE arm, summed over its cells
+/// (one meshscale_scenario run each): request counters and e2e latency,
+/// the push-channel surface (bytes, churn-window bytes, reconvergence)
+/// and per-sidecar endpoint-table sizes.
+PointMetrics meshscale_point_metrics(const std::vector<ScenarioResult>& cells);
 
 }  // namespace meshnet::workload

@@ -4,6 +4,28 @@
 
 namespace meshnet::workload {
 
+LatencyRecorder::LatencyRecorder(sim::Time measure_start,
+                                 sim::Time measure_end)
+    : measure_start_(measure_start), measure_end_(measure_end) {}
+
+void LatencyRecorder::record(sim::Time scheduled, sim::Time completed,
+                             bool success) {
+  if (scheduled < measure_start_ || scheduled >= measure_end_) return;
+  if (!success) {
+    ++errors_;
+    return;
+  }
+  const sim::Duration latency =
+      completed > scheduled ? completed - scheduled : 0;
+  histogram_.record(static_cast<std::uint64_t>(latency));
+}
+
+double LatencyRecorder::throughput_rps() const {
+  const double window = sim::to_seconds(measure_end_ - measure_start_);
+  if (window <= 0.0) return 0.0;
+  return static_cast<double>(histogram_.count()) / window;
+}
+
 OpenLoopGenerator::OpenLoopGenerator(sim::Simulator& sim,
                                      mesh::HttpClientPool& client,
                                      WorkloadSpec spec, std::uint64_t seed)

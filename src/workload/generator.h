@@ -1,6 +1,7 @@
 #pragma once
 
-// Open-loop load generator (the wrk2 stand-in, DESIGN.md §2).
+// Open-loop load generator (the wrk2 stand-in, DESIGN.md §2) and its
+// latency recorder.
 //
 // The generator emits requests on a schedule independent of completions —
 // the paper's methodology ("uniformly random inter-arrival times", average
@@ -15,9 +16,55 @@
 #include "mesh/http_client.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
-#include "workload/recorder.h"
+#include "stats/histogram.h"
 
 namespace meshnet::workload {
+
+/// Latency recording with wrk2 methodology: each request's latency is
+/// measured from its *scheduled* (intended) send time, not from when the
+/// client actually got around to sending it, so queueing inside the client
+/// is charged to the system under test (no coordinated omission). Samples
+/// are only counted inside the [measure_start, measure_end) window, which
+/// excludes warm-up and cool-down as the paper does.
+class LatencyRecorder {
+ public:
+  LatencyRecorder(sim::Time measure_start, sim::Time measure_end);
+
+  /// Records one completed request. `scheduled` is the intended send
+  /// time; `completed` is when the full response arrived.
+  void record(sim::Time scheduled, sim::Time completed, bool success);
+
+  std::uint64_t count() const noexcept { return histogram_.count(); }
+  std::uint64_t errors() const noexcept { return errors_; }
+
+  double percentile_ms(double p) const {
+    return sim::to_milliseconds(
+        static_cast<sim::Duration>(histogram_.percentile(p)));
+  }
+  double p50_ms() const { return percentile_ms(50.0); }
+  double p90_ms() const { return percentile_ms(90.0); }
+  double p99_ms() const { return percentile_ms(99.0); }
+  double mean_ms() const {
+    return histogram_.mean() / static_cast<double>(sim::kMillisecond);
+  }
+  double max_ms() const {
+    return sim::to_milliseconds(static_cast<sim::Duration>(histogram_.max()));
+  }
+
+  /// Completed-request throughput over the measurement window.
+  double throughput_rps() const;
+
+  const stats::LogHistogram& histogram() const noexcept { return histogram_; }
+
+  sim::Time measure_start() const noexcept { return measure_start_; }
+  sim::Time measure_end() const noexcept { return measure_end_; }
+
+ private:
+  sim::Time measure_start_;
+  sim::Time measure_end_;
+  stats::LogHistogram histogram_{7};
+  std::uint64_t errors_ = 0;
+};
 
 enum class ArrivalProcess {
   kUniformRandom,  ///< U(0, 2/rps) gaps — the paper's choice

@@ -13,20 +13,11 @@
 #include "net/qdisc.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
+#include "util/hash.h"
 
 namespace meshnet::workload {
 
 namespace {
-
-// splitmix64 finalizer: the per-visit compute time is a pure function of
-// (seed, service, request), so it does not depend on the order services
-// happen to process requests in — one of the three shard-invariance rules.
-std::uint64_t mix64(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 struct Arrival {
   std::uint64_t request_id = 0;
@@ -84,11 +75,15 @@ class Service {
     busy_ = true;
     const Arrival job = queue_.front();
     queue_.pop_front();
+    // A pure function of (seed, service, request), so it does not depend
+    // on the order services process requests in — one of the three
+    // shard-invariance rules.
     const sim::Duration compute =
         compute_min +
         static_cast<sim::Duration>(
-            mix64(run_seed ^ mix64(static_cast<std::uint64_t>(id)) ^
-                  job.request_id) %
+            util::mix64(run_seed ^
+                        util::mix64(static_cast<std::uint64_t>(id)) ^
+                        job.request_id) %
             static_cast<std::uint64_t>(compute_span));
     sim->schedule_after(compute, [this, job] { complete(job); });
   }

@@ -81,11 +81,8 @@ class SweepRunner {
  public:
   explicit SweepRunner(SweepOptions options = {});
 
-  /// Adds a point. Ids should be unique; the comparator matches baseline
-  /// points by id.
-  void add(SweepPoint point);
-
-  /// Convenience: build the id from "key=value" params and add.
+  /// Adds a point with the id "key=value/..." built from `params`. Ids
+  /// should be unique; the comparator matches baseline points by id.
   void add(std::vector<std::pair<std::string, std::string>> params,
            std::function<PointMetrics()> run);
 

@@ -9,18 +9,18 @@
 #include <utility>
 #include <vector>
 
-#include "workload/elibrary_scenario.h"
+#include "workload/scenario.h"
 #include "workload/sweep_runner.h"
 
 namespace meshnet::workload {
 namespace {
 
-ElibraryScenario small_config(bool resilience = true) {
-  ElibraryScenario config =
+Scenario small_config(bool resilience = true) {
+  Scenario config =
       chaos_scenario(resilience, /*fault_offset=*/sim::seconds(1),
                      /*fault_duration=*/sim::seconds(3));
-  config.ls_rps = 20;
-  config.li_rps = 5;
+  config.workloads[0].rps = 20;
+  config.workloads[1].rps = 5;
   config.warmup = sim::seconds(1);
   config.duration = sim::seconds(6);
   config.cooldown = sim::seconds(1);
@@ -28,9 +28,9 @@ ElibraryScenario small_config(bool resilience = true) {
 }
 
 TEST(ChaosExperiment, DeterministicForSameSeed) {
-  ElibraryScenario config = small_config();
-  const ElibraryScenarioResult a = run_elibrary_scenario(config);
-  const ElibraryScenarioResult b = run_elibrary_scenario(config);
+  Scenario config = small_config();
+  const ScenarioResult a = run_scenario(config);
+  const ScenarioResult b = run_scenario(config);
 
   // Same seed => identical simulation, event for event.
   EXPECT_EQ(a.events_executed, b.events_executed);
@@ -47,29 +47,27 @@ TEST(ChaosExperiment, DeterministicForSameSeed) {
     EXPECT_EQ(a.mesh_events[i].subject, b.mesh_events[i].subject);
     EXPECT_EQ(a.mesh_events[i].detail, b.mesh_events[i].detail);
   }
-  EXPECT_EQ(a.ls.completed, b.ls.completed);
-  EXPECT_EQ(a.ls.errors, b.ls.errors);
-  EXPECT_DOUBLE_EQ(a.ls.p99_ms, b.ls.p99_ms);
-  EXPECT_EQ(a.li.completed, b.li.completed);
+  EXPECT_EQ(a.ls().completed, b.ls().completed);
+  EXPECT_EQ(a.ls().errors, b.ls().errors);
+  EXPECT_DOUBLE_EQ(a.ls().p99_ms, b.ls().p99_ms);
+  EXPECT_EQ(a.li().completed, b.li().completed);
 
   // A different seed actually changes arrivals (guards against the seed
   // being ignored somewhere).
   config.seed += 1;
-  const ElibraryScenarioResult c = run_elibrary_scenario(config);
+  const ScenarioResult c = run_scenario(config);
   EXPECT_NE(a.events_executed, c.events_executed);
 }
 
 TEST(ChaosExperiment, ResilienceRidesThroughCrashBaselineDegrades) {
   // The CHAOS preset's defaults: 30/10 rps, 4+24+4 s windows, the fault
   // window 6 s into the measured window for 10 s.
-  const ElibraryScenarioResult resilient =
-      run_elibrary_scenario(chaos_scenario(true));
-  const ElibraryScenarioResult baseline =
-      run_elibrary_scenario(chaos_scenario(false));
-  const PhaseSummary& r_before = resilient.phase("before");
-  const PhaseSummary& r_during = resilient.phase("during");
-  const PhaseSummary& r_after = resilient.phase("after");
-  const PhaseSummary& b_during = baseline.phase("during");
+  const ScenarioResult resilient = run_scenario(chaos_scenario(true));
+  const ScenarioResult baseline = run_scenario(chaos_scenario(false));
+  const WindowSummary& r_before = resilient.phase("before");
+  const WindowSummary& r_during = resilient.phase("during");
+  const WindowSummary& r_after = resilient.phase("after");
+  const WindowSummary& b_during = baseline.phase("during");
 
   // Sanity: the fault window saw real traffic in both arms.
   EXPECT_GT(r_during.scheduled, 100u);
@@ -106,14 +104,14 @@ TEST(ChaosExperiment, SweepBitIdenticalAcrossThreadCounts) {
     SweepOptions options;
     options.threads = threads;
     SweepRunner runner(options);
-    auto results = std::make_shared<std::vector<ElibraryScenarioResult>>(2);
+    auto results = std::make_shared<std::vector<ScenarioResult>>(2);
     for (const bool resilience : {true, false}) {
       const std::size_t slot = resilience ? 0 : 1;
       runner.add({{"resilience", resilience ? "on" : "off"}},
                  [resilience, slot, results] {
                    (*results)[slot] =
-                       run_elibrary_scenario(small_config(resilience));
-                   const ElibraryScenarioResult& r = (*results)[slot];
+                       run_scenario(small_config(resilience));
+                   const ScenarioResult& r = (*results)[slot];
                    PointMetrics metrics;
                    metrics.scalars["during_goodput_rps"] =
                        r.phase("during").goodput_rps;
@@ -147,8 +145,8 @@ TEST(ChaosExperiment, SweepBitIdenticalAcrossThreadCounts) {
 
     // Event-for-event equality of both arms' determinism witnesses.
     for (std::size_t arm = 0; arm < 2; ++arm) {
-      const ElibraryScenarioResult& a = (*serial_results)[arm];
-      const ElibraryScenarioResult& b = (*parallel_results)[arm];
+      const ScenarioResult& a = (*serial_results)[arm];
+      const ScenarioResult& b = (*parallel_results)[arm];
       EXPECT_EQ(a.events_executed, b.events_executed);
       ASSERT_EQ(a.fault_log.size(), b.fault_log.size());
       for (std::size_t i = 0; i < a.fault_log.size(); ++i) {
@@ -163,9 +161,9 @@ TEST(ChaosExperiment, SweepBitIdenticalAcrossThreadCounts) {
         EXPECT_EQ(a.mesh_events[i].subject, b.mesh_events[i].subject);
         EXPECT_EQ(a.mesh_events[i].detail, b.mesh_events[i].detail);
       }
-      EXPECT_EQ(a.ls.completed, b.ls.completed);
-      EXPECT_EQ(a.ls.errors, b.ls.errors);
-      EXPECT_DOUBLE_EQ(a.ls.p99_ms, b.ls.p99_ms);
+      EXPECT_EQ(a.ls().completed, b.ls().completed);
+      EXPECT_EQ(a.ls().errors, b.ls().errors);
+      EXPECT_DOUBLE_EQ(a.ls().p99_ms, b.ls().p99_ms);
     }
   }
 }

@@ -178,6 +178,23 @@ TEST_F(ChaosFixture, ScheduledPlanExecutesAtPlannedTimesAndHookFires) {
   EXPECT_EQ(hook_times[1], sim::seconds(4));
 }
 
+// A plan written relative to a measured window runs shifted by the
+// window's start (how the scenario driver schedules its fault plan).
+TEST_F(ChaosFixture, ScheduleOffsetShiftsEveryEntry) {
+  FaultPlan plan;
+  plan.crash(sim::seconds(1), "pod-b").restart(sim::seconds(2), "pod-b");
+  controller_->schedule(plan, sim::seconds(3));
+  sim_.run_until(sim::seconds(3) + sim::milliseconds(500));
+  EXPECT_TRUE(b_->running());
+  sim_.run_until(sim::seconds(4) + sim::milliseconds(500));
+  EXPECT_FALSE(b_->running());
+  sim_.run_until(sim::seconds(6));
+  EXPECT_TRUE(b_->running());
+  ASSERT_EQ(controller_->log().size(), 2u);
+  EXPECT_EQ(controller_->log()[0].at, sim::seconds(4));
+  EXPECT_EQ(controller_->log()[1].at, sim::seconds(5));
+}
+
 TEST(ChaosDeterminism, SameSeedSamePlanSameLog) {
   auto run_once = [] {
     sim::Simulator sim;

@@ -9,13 +9,13 @@
 #include "app/elibrary.h"
 #include "core/cross_layer.h"
 #include "net/qdisc.h"
-#include "workload/elibrary_scenario.h"
+#include "workload/scenario.h"
 
 namespace meshnet {
 namespace {
 
-workload::ElibraryScenario quick_config(double rps, bool cross_layer) {
-  workload::ElibraryScenario config = workload::fig4_scenario(rps, cross_layer);
+workload::Scenario quick_config(double rps, bool cross_layer) {
+  workload::Scenario config = workload::fig4_scenario(rps, cross_layer);
   config.warmup = sim::seconds(2);
   config.duration = sim::seconds(6);
   config.cooldown = sim::seconds(1);
@@ -23,35 +23,35 @@ workload::ElibraryScenario quick_config(double rps, bool cross_layer) {
 }
 
 TEST(Integration, BaselineServesBothWorkloads) {
-  const auto result = workload::run_elibrary_scenario(quick_config(20, false));
-  EXPECT_GT(result.ls.completed, 80u);
-  EXPECT_GT(result.li.completed, 80u);
-  EXPECT_EQ(result.ls.errors, 0u);
-  EXPECT_EQ(result.li.errors, 0u);
+  const auto result = workload::run_scenario(quick_config(20, false));
+  EXPECT_GT(result.ls().completed, 80u);
+  EXPECT_GT(result.li().completed, 80u);
+  EXPECT_EQ(result.ls().errors, 0u);
+  EXPECT_EQ(result.li().errors, 0u);
   EXPECT_GT(result.bottleneck_utilization, 0.1);
 }
 
 TEST(Integration, CrossLayerImprovesLsTailUnderLoad) {
-  const auto base = workload::run_elibrary_scenario(quick_config(40, false));
-  const auto opt = workload::run_elibrary_scenario(quick_config(40, true));
+  const auto base = workload::run_scenario(quick_config(40, false));
+  const auto opt = workload::run_scenario(quick_config(40, true));
   // The paper's headline: prioritization improves the LS workload's
   // latency, clearly at the tail.
-  EXPECT_LT(opt.ls.p99_ms, base.ls.p99_ms * 0.8)
-      << "base p99=" << base.ls.p99_ms << " opt p99=" << opt.ls.p99_ms;
-  EXPECT_LE(opt.ls.p50_ms, base.ls.p50_ms * 1.05);
+  EXPECT_LT(opt.ls().p99_ms, base.ls().p99_ms * 0.8)
+      << "base p99=" << base.ls().p99_ms << " opt p99=" << opt.ls().p99_ms;
+  EXPECT_LE(opt.ls().p50_ms, base.ls().p50_ms * 1.05);
 }
 
 TEST(Integration, LiDegradationIsBounded) {
-  const auto base = workload::run_elibrary_scenario(quick_config(40, false));
-  const auto opt = workload::run_elibrary_scenario(quick_config(40, true));
+  const auto base = workload::run_scenario(quick_config(40, false));
+  const auto opt = workload::run_scenario(quick_config(40, true));
   // Paper: < 5% LI p99 degradation. Allow slack for short-run noise.
-  EXPECT_LT(opt.li.p99_ms, base.li.p99_ms * 1.15)
-      << "base=" << base.li.p99_ms << " opt=" << opt.li.p99_ms;
-  EXPECT_GT(opt.li.completed, 0.9 * static_cast<double>(base.li.completed));
+  EXPECT_LT(opt.li().p99_ms, base.li().p99_ms * 1.15)
+      << "base=" << base.li().p99_ms << " opt=" << opt.li().p99_ms;
+  EXPECT_GT(opt.li().completed, 0.9 * static_cast<double>(base.li().completed));
 }
 
 TEST(Integration, PriorityBandsCarryTraffic) {
-  const auto result = workload::run_elibrary_scenario(quick_config(30, true));
+  const auto result = workload::run_scenario(quick_config(30, true));
   // With cross-layer on, both bands of the bottleneck's weighted qdisc
   // must have moved bytes: high (LS responses to reviews-1) and low
   // (LI responses to reviews-2).
@@ -181,10 +181,10 @@ TEST(Integration, ScavengerTransportAloneProtectsLs) {
   scav_config.cross_layer->tc_priority = false;
   scav_config.cross_layer->priority_routing = false;
   scav_config.cross_layer->scavenger_transport = true;
-  const auto base = workload::run_elibrary_scenario(base_config);
-  const auto scav = workload::run_elibrary_scenario(scav_config);
-  EXPECT_LT(scav.ls.p99_ms, base.ls.p99_ms)
-      << "base=" << base.ls.p99_ms << " scav=" << scav.ls.p99_ms;
+  const auto base = workload::run_scenario(base_config);
+  const auto scav = workload::run_scenario(scav_config);
+  EXPECT_LT(scav.ls().p99_ms, base.ls().p99_ms)
+      << "base=" << base.ls().p99_ms << " scav=" << scav.ls().p99_ms;
 }
 
 TEST(Integration, SdnOutOfBandProtectsLsWithoutMarksOrTcRules) {
@@ -198,10 +198,10 @@ TEST(Integration, SdnOutOfBandProtectsLsWithoutMarksOrTcRules) {
   sdn.cross_layer->tc_priority = false;
   sdn.cross_layer->dscp_tagging = false;
   sdn.cross_layer->priority_routing = false;
-  const auto base_result = workload::run_elibrary_scenario(base);
-  const auto sdn_result = workload::run_elibrary_scenario(sdn);
-  EXPECT_LT(sdn_result.ls.p99_ms, base_result.ls.p99_ms)
-      << "base=" << base_result.ls.p99_ms << " sdn=" << sdn_result.ls.p99_ms;
+  const auto base_result = workload::run_scenario(base);
+  const auto sdn_result = workload::run_scenario(sdn);
+  EXPECT_LT(sdn_result.ls().p99_ms, base_result.ls().p99_ms)
+      << "base=" << base_result.ls().p99_ms << " sdn=" << sdn_result.ls().p99_ms;
   // The programmed qdisc moved traffic through both bands.
   EXPECT_GT(sdn_result.high_band_bytes, 0u);
   EXPECT_GT(sdn_result.low_band_bytes, 0u);
@@ -210,37 +210,40 @@ TEST(Integration, SdnOutOfBandProtectsLsWithoutMarksOrTcRules) {
 TEST(Integration, ComputePriorityQueuingProtectsLsAtCpuBottleneck) {
   // §5 extension: with few workers per service, priority admission
   // queuing lowers LS tail latency even before any network effect.
+  app::ElibraryOptions options;
+  options.app_max_concurrency = 2;
   auto fifo_config = quick_config(30, true);
-  fifo_config.app.app_max_concurrency = 2;
-  fifo_config.app.app_priority_scheduling = false;
+  fifo_config.mesh = app::elibrary_mesh_spec(options);
   auto prio_config = fifo_config;
-  prio_config.app.app_priority_scheduling = true;
-  const auto fifo = workload::run_elibrary_scenario(fifo_config);
-  const auto prio = workload::run_elibrary_scenario(prio_config);
-  EXPECT_LE(prio.ls.p99_ms, fifo.ls.p99_ms * 1.02)
-      << "fifo=" << fifo.ls.p99_ms << " prio=" << prio.ls.p99_ms;
-  EXPECT_GT(prio.ls.completed, 0u);
-  EXPECT_GT(prio.li.completed, 0u);
+  for (cluster::ServiceSpec& service : prio_config.mesh.services) {
+    service.app.priority_scheduling = true;
+  }
+  const auto fifo = workload::run_scenario(fifo_config);
+  const auto prio = workload::run_scenario(prio_config);
+  EXPECT_LE(prio.ls().p99_ms, fifo.ls().p99_ms * 1.02)
+      << "fifo=" << fifo.ls().p99_ms << " prio=" << prio.ls().p99_ms;
+  EXPECT_GT(prio.ls().completed, 0u);
+  EXPECT_GT(prio.li().completed, 0u);
 }
 
 TEST(Integration, DeterministicResults) {
-  const auto a = workload::run_elibrary_scenario(quick_config(20, true));
-  const auto b = workload::run_elibrary_scenario(quick_config(20, true));
-  EXPECT_EQ(a.ls.completed, b.ls.completed);
-  EXPECT_DOUBLE_EQ(a.ls.p99_ms, b.ls.p99_ms);
+  const auto a = workload::run_scenario(quick_config(20, true));
+  const auto b = workload::run_scenario(quick_config(20, true));
+  EXPECT_EQ(a.ls().completed, b.ls().completed);
+  EXPECT_DOUBLE_EQ(a.ls().p99_ms, b.ls().p99_ms);
   EXPECT_EQ(a.events_executed, b.events_executed);
 }
 
 TEST(Integration, SeedChangesArrivalsButNotShape) {
   auto config = quick_config(30, true);
-  const auto a = workload::run_elibrary_scenario(config);
+  const auto a = workload::run_scenario(config);
   config.seed = 1234;
-  const auto b = workload::run_elibrary_scenario(config);
+  const auto b = workload::run_scenario(config);
   EXPECT_NE(a.events_executed, b.events_executed);
   // Different draws, same regime: completions within 25%.
-  EXPECT_NEAR(static_cast<double>(a.ls.completed),
-              static_cast<double>(b.ls.completed),
-              0.25 * static_cast<double>(a.ls.completed));
+  EXPECT_NEAR(static_cast<double>(a.ls().completed),
+              static_cast<double>(b.ls().completed),
+              0.25 * static_cast<double>(a.ls().completed));
 }
 
 }  // namespace

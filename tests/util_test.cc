@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "util/flags.h"
+#include "util/hash.h"
 #include "util/json.h"
 #include "util/logging.h"
 #include "util/strings.h"
@@ -187,6 +188,38 @@ TEST(FlagsDeathTest, IntListRejectsMalformedEntries) {
     EXPECT_EXIT(int_list_flag_or_exit(parse_args({arg}), "arms", "1"),
                 ::testing::ExitedWithCode(2), "malformed value for --arms");
   }
+}
+
+// A lower bound on an int flag (MESHSCALE's --services and --cells)
+// exits 2 naming the flag, like a malformed value.
+TEST(FlagsDeathTest, IntReadersRejectValuesBelowMin) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EQ(int_list_flag_or_exit(parse_args({"--services=4,10"}),
+                                  "services", "10", 4),
+            (std::vector<int>{4, 10}));
+  EXPECT_EQ(int_flag_or_exit(parse_args({"--cells=1"}), "cells", 2, 1), 1);
+  EXPECT_EXIT(int_list_flag_or_exit(parse_args({"--services=0,2"}),
+                                    "services", "10", 4),
+              ::testing::ExitedWithCode(2), "--services below 4: '0,2'");
+  EXPECT_EXIT(int_list_flag_or_exit(parse_args({"--services=10,3"}),
+                                    "services", "10", 4),
+              ::testing::ExitedWithCode(2), "--services below 4");
+  EXPECT_EXIT(int_flag_or_exit(parse_args({"--cells=0"}), "cells", 2, 1),
+              ::testing::ExitedWithCode(2), "--cells below 1: '0'");
+  EXPECT_EXIT(int_flag_or_exit(parse_args({"--cells=-3"}), "cells", 2, 1),
+              ::testing::ExitedWithCode(2), "--cells below 1");
+}
+
+// The hashes behind deterministic per-visit think times and endpoint
+// subsets: pinned, so a change to either moves every baseline that uses
+// them on purpose only.
+TEST(Hash, PinsKnownValues) {
+  EXPECT_EQ(fnv1a(""), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(fnv1a("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(fnv1a("foobar"), 0x85944171f73967e8ULL);
+  EXPECT_EQ(mix64(0), 0xe220a8397b1dcdafULL);
+  EXPECT_EQ(mix64(1), 0x910a2dec89025cc1ULL);
+  static_assert(mix64(0) == 0xe220a8397b1dcdafULL);
 }
 
 TEST(Flags, HasAndGet) {

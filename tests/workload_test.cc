@@ -1,6 +1,6 @@
 // Tests for the open-loop load generator (wrk2 methodology), the latency
 // recorder, the thread-pool sweep runner's determinism guarantee, and
-// the MESHSCALE experiment.
+// the scenario driver's presets.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +17,6 @@
 #include "sim/simulator.h"
 #include "workload/bench_harness.h"
 #include "workload/generator.h"
-#include "workload/recorder.h"
 #include "workload/sweep_runner.h"
 
 namespace meshnet::workload {
@@ -220,12 +219,12 @@ SweepResult run_fig4_sweep(int threads) {
   for (const bool cross_layer : {false, true}) {
     runner.add({{"rps", "40"}, {"cross_layer", cross_layer ? "on" : "off"}},
                [cross_layer] {
-                 ElibraryScenario config = fig4_scenario(40, cross_layer);
+                 Scenario config = fig4_scenario(40, cross_layer);
                  config.warmup = sim::seconds(1);
                  config.duration = sim::seconds(3);
                  config.cooldown = sim::seconds(1);
                  config.seed = 42;
-                 return elibrary_point_metrics(run_elibrary_scenario(config));
+                 return elibrary_point_metrics(run_scenario(config));
                });
   }
   return runner.run();
@@ -308,12 +307,12 @@ SweepResult run_overload_sweep(int threads) {
   for (const bool admission : {true, false}) {
     runner.add({{"load", "2.0x"}, {"admission", admission ? "on" : "off"}},
                [admission] {
-                 ElibraryScenario config = overload_scenario(2.0, admission);
+                 Scenario config = overload_scenario(2.0, admission);
                  config.warmup = sim::seconds(1);
                  config.duration = sim::seconds(3);
                  config.cooldown = sim::seconds(1);
                  config.seed = 42;
-                 return overload_point_metrics(run_elibrary_scenario(config));
+                 return overload_point_metrics(run_scenario(config));
                });
   }
   return runner.run();
@@ -356,17 +355,17 @@ SweepResult run_cp_chaos_sweep(int threads) {
   SweepRunner runner(options);
   for (const bool outage : {true, false}) {
     runner.add({{"outage", outage ? "on" : "off"}}, [outage] {
-      ElibraryScenario config = cp_chaos_scenario(
+      Scenario config = cp_chaos_scenario(
           outage, /*outage_offset=*/sim::seconds(1),
           /*outage_duration=*/sim::seconds(6),
           /*churn_period=*/sim::seconds(3));
-      config.ls_rps = 15.0;
-      config.li_rps = 5.0;
+      config.workloads[0].rps = 15.0;
+      config.workloads[1].rps = 5.0;
       config.warmup = sim::seconds(1);
       config.duration = sim::seconds(10);
       config.cooldown = sim::seconds(1);
       config.seed = 42;
-      return cp_point_metrics(run_elibrary_scenario(config));
+      return cp_point_metrics(run_scenario(config));
     });
   }
   return runner.run();
@@ -416,16 +415,16 @@ SweepResult run_mtls_sweep(int threads) {
   for (const bool mtls : {true, false}) {
     runner.add({{"mtls", mtls ? "on" : "off"}}, [mtls] {
       // The plaintext control stays calm: storm only with mTLS.
-      ElibraryScenario config =
+      Scenario config =
           mtls_scenario(mtls, /*session_resumption=*/true, /*storm=*/mtls,
                         /*storm_offset=*/sim::seconds(5));
-      config.ls_rps = 15.0;
-      config.li_rps = 5.0;
+      config.workloads[0].rps = 15.0;
+      config.workloads[1].rps = 5.0;
       config.warmup = sim::seconds(1);
       config.duration = sim::seconds(10);
       config.cooldown = sim::seconds(1);
       config.seed = 42;
-      return mtls_point_metrics(run_elibrary_scenario(config));
+      return mtls_point_metrics(run_scenario(config));
     });
   }
   return runner.run();
@@ -464,14 +463,15 @@ TEST(MtlsDeterminism, HandshakeStormBitIdenticalAcrossThreadCounts) {
   }
 }
 
-// Every e-library preset, at short windows, keeps the request ledger
+// Every scenario preset, at short windows, keeps the request ledger
 // closed: after the drain each request has reached exactly one terminal
-// outcome, the client pool is idle, and the LS phases partition the
-// measured window (every in-window arrival lands in exactly one phase).
+// outcome, the client pool is idle, and the phases partition the
+// measured window (every in-window arrival of the first traffic class
+// lands in exactly one phase).
 
 struct PresetCase {
   const char* name;
-  ElibraryScenario (*make)();
+  Scenario (*make)();
 };
 
 void PrintTo(const PresetCase& preset, std::ostream* os) { *os << preset.name; }
@@ -479,15 +479,16 @@ void PrintTo(const PresetCase& preset, std::ostream* os) { *os << preset.name; }
 class ScenarioConservation : public ::testing::TestWithParam<PresetCase> {};
 
 TEST_P(ScenarioConservation, EveryRequestTerminatesAndPhasesPartitionWindow) {
-  ElibraryScenario scenario = GetParam().make();
+  Scenario scenario = GetParam().make();
   scenario.warmup = sim::seconds(1);
   scenario.duration = sim::seconds(6);
   scenario.cooldown = sim::seconds(1);
-  const ElibraryScenarioResult r = run_elibrary_scenario(scenario);
+  const ScenarioResult r = run_scenario(scenario);
 
-  for (const RequestTally* tally : {&r.ls_requests, &r.li_requests}) {
-    EXPECT_GT(tally->sent, 0u);
-    EXPECT_EQ(tally->sent, tally->completed + tally->failed);
+  ASSERT_EQ(r.workloads.size(), scenario.workloads.size());
+  for (const WindowSummary& workload : r.workloads) {
+    EXPECT_GT(workload.sent, 0u);
+    EXPECT_EQ(workload.sent, workload.succeeded + workload.failed);
   }
   EXPECT_EQ(r.client_pending, 0u);
 
@@ -495,17 +496,18 @@ TEST_P(ScenarioConservation, EveryRequestTerminatesAndPhasesPartitionWindow) {
   std::uint64_t scheduled = 0;
   std::uint64_t completed = 0;
   std::uint64_t errors = 0;
-  for (const PhaseSummary& phase : r.phases) {
+  for (const WindowSummary& phase : r.phases) {
     scheduled += phase.scheduled;
     completed += phase.completed;
     errors += phase.errors;
   }
-  // The LS generator's own window recorder saw every in-window arrival
-  // terminate once; the phases must account for the same set.
+  // The first generator's own window recorder saw every in-window
+  // arrival terminate once; the phases must account for the same set.
+  const WindowSummary& first = r.workloads.front();
   EXPECT_GT(scheduled, 0u);
-  EXPECT_EQ(scheduled, r.ls.completed + r.ls.errors);
-  EXPECT_EQ(completed, r.ls.completed);
-  EXPECT_EQ(errors, r.ls.errors);
+  EXPECT_EQ(scheduled, first.completed + first.errors);
+  EXPECT_EQ(completed, first.completed);
+  EXPECT_EQ(errors, first.errors);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -527,36 +529,50 @@ INSTANTIATE_TEST_SUITE_P(
         PresetCase{"mtls",
                    [] {
                      return mtls_scenario(true, true, true, sim::seconds(3));
+                   }},
+        PresetCase{"lb_policies",
+                   [] {
+                     return lb_policies_scenario(
+                         mesh::LbPolicy::kLeastRequest, 300.0);
+                   }},
+        PresetCase{"compute_priority",
+                   [] { return compute_priority_scenario(true, 100.0, 85.0); }},
+        PresetCase{"meshscale",
+                   [] {
+                     return meshscale_scenario(10, 1, 42, sim::seconds(3),
+                                               true, false);
                    }}),
     [](const ::testing::TestParamInfo<PresetCase>& info) {
       return std::string(info.param.name);
     });
 
-// MESHSCALE on a small mesh: every generated request gets exactly one
-// response, the control plane reconverges after the churn, and the run
-// is a pure function of its config.
-TEST(MeshscaleExperiment, ConservesRequestsConvergesAndRepeats) {
-  MeshscaleConfig config;
-  config.services = 10;
-  config.cells = 2;
-  config.duration = sim::seconds(1);
-  config.churn_at = sim::milliseconds(400);
-  config.restore_at = sim::milliseconds(600);
+// A MESHSCALE arm on a small mesh: the control plane reconverges after
+// the churn, and the arm is a pure function of its inputs.
+TEST(MeshscalePreset, ConvergesAfterChurnAndRepeats) {
+  const auto run_arm = [] {
+    std::vector<ScenarioResult> cells;
+    for (int cell = 0; cell < 2; ++cell) {
+      cells.push_back(run_scenario(
+          meshscale_scenario(10, cell, 42, sim::seconds(1), true, false)));
+    }
+    return meshscale_point_metrics(cells);
+  };
+  const PointMetrics first = run_arm();
+  EXPECT_GT(first.counters.at("requests_generated"), 0u);
+  EXPECT_EQ(first.counters.at("responses"),
+            first.counters.at("requests_generated"));
+  EXPECT_EQ(first.counters.at("cp_converged"), 1u);
+  EXPECT_GT(first.counters.at("cp_churn_pushes"), 0u);
 
-  const MeshscaleExperimentResult result = run_meshscale_experiment(config);
-  EXPECT_GT(result.requests_generated, 0u);
-  EXPECT_EQ(result.responses, result.requests_generated);
-  EXPECT_EQ(result.successes + result.failures, result.responses);
-  EXPECT_TRUE(result.converged);
-  EXPECT_EQ(result.cells, 2);
-
-  const PointMetrics first = meshscale_point_metrics(result);
-  const PointMetrics second =
-      meshscale_point_metrics(run_meshscale_experiment(config));
+  const PointMetrics second = run_arm();
   EXPECT_EQ(first.scalars, second.scalars);
   EXPECT_EQ(first.counters, second.counters);
   EXPECT_TRUE(first.histograms == second.histograms);
-  EXPECT_TRUE(first.snapshot == second.snapshot);
+}
+
+TEST(MeshscalePreset, RejectsMeshesBelowFourServices) {
+  EXPECT_THROW(meshscale_scenario(3, 0, 42, sim::seconds(1), true, false),
+               std::invalid_argument);
 }
 
 // A malformed numeric harness flag exits 2 and names the flag instead of
@@ -633,11 +649,11 @@ TEST(SweepRunnerSpeedup, ParallelSweepBeatsSerial) {
   const auto build = [](SweepRunner& runner) {
     for (int i = 0; i < 8; ++i) {
       runner.add({{"i", std::to_string(i)}}, [i] {
-        ElibraryScenario config = fig4_scenario(30, /*cross_layer=*/false);
+        Scenario config = fig4_scenario(30, /*cross_layer=*/false);
         config.warmup = sim::seconds(1);
         config.duration = sim::seconds(2);
         config.seed = 42 + static_cast<std::uint64_t>(i);
-        return elibrary_point_metrics(run_elibrary_scenario(config));
+        return elibrary_point_metrics(run_scenario(config));
       });
     }
   };
