@@ -1,7 +1,7 @@
 // Component microbenchmarks (google-benchmark): the per-operation costs
 // that bound how much simulated traffic the harness can push — event
-// scheduling, qdisc enqueue/dequeue, link forwarding, HTTP codec, a bulk
-// body relayed through transport, histogram recording.
+// scheduling, qdisc enqueue/dequeue, link forwarding, HTTP codec and
+// head copies, a bulk body relayed through transport, histogram recording.
 // These back DESIGN.md's methodology note that full Fig. 4 sweeps are
 // tractable on a laptop.
 //
@@ -423,6 +423,70 @@ static void BM_HttpParseResponse(benchmark::State& state) {
                           static_cast<std::int64_t>(wire.size()));
 }
 BENCHMARK(BM_HttpParseResponse)->Arg(1024)->Arg(64 * 1024);
+
+// A mesh100-shaped request head as it crosses a sidecar hop: host,
+// request id, b3 trace/span/parent ids, mesh source, attempt count and
+// deadline. The path stays within std::string's inline capacity, as
+// mesh100's do.
+http::HttpRequest mesh_request_head() {
+  http::HttpRequest request;
+  request.method = "GET";
+  request.path = "/r/svc-2-13/417";
+  request.headers.set(http::headers::Id::kHost, "svc-2-13");
+  request.headers.set(http::headers::Id::kRequestId, "req-18270-9e3779b9");
+  request.headers.set(http::headers::Id::kTraceId, "trace-00000000000011a5");
+  request.headers.set(http::headers::Id::kSpanId, "span-00000000000011a9");
+  request.headers.set(http::headers::Id::kParentSpanId,
+                      "span-00000000000011a7");
+  request.headers.set(http::headers::Id::kMeshSource, "svc-1-04");
+  request.headers.set(http::headers::Id::kRetryAttempt, "1");
+  request.headers.set(http::headers::Id::kDeadlineMs, "14999");
+  return request;
+}
+
+// Parsing that head must not allocate once the parser is warm (gated at
+// exactly 0 allocs_per_op in BENCH_micro.json).
+static void BM_HttpParseRequestHead(benchmark::State& state) {
+  const std::string wire =
+      http::serialize_request(mesh_request_head()).materialize();
+  http::HttpParser parser(http::ParserKind::kRequest);
+  std::uint64_t headers = 0;
+  parser.set_on_request(
+      [&](http::HttpRequest request) { headers += request.headers.size(); });
+  parser.feed(wire);  // warm
+  std::uint64_t allocs = 0;
+  std::uint64_t ops = 0;
+  for (auto _ : state) {
+    const std::uint64_t before = workload::bench_allocation_count();
+    parser.feed(wire);
+    allocs += workload::bench_allocation_count() - before;
+    ++ops;
+  }
+  benchmark::DoNotOptimize(headers);
+  state.SetItemsProcessed(static_cast<std::int64_t>(ops));
+  state.counters["allocs_per_op"] = benchmark::Counter(
+      static_cast<double>(allocs) / static_cast<double>(ops > 0 ? ops : 1));
+}
+BENCHMARK(BM_HttpParseRequestHead);
+
+// The sidecar's retry-safe request copy: at most two memcpys, no
+// allocation (gated at exactly 0 allocs_per_op in BENCH_micro.json).
+static void BM_HttpRequestCopy(benchmark::State& state) {
+  const http::HttpRequest request = mesh_request_head();
+  std::uint64_t allocs = 0;
+  std::uint64_t ops = 0;
+  for (auto _ : state) {
+    const std::uint64_t before = workload::bench_allocation_count();
+    http::HttpRequest copy = request;
+    benchmark::DoNotOptimize(copy);
+    allocs += workload::bench_allocation_count() - before;
+    ++ops;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(ops));
+  state.counters["allocs_per_op"] = benchmark::Counter(
+      static_cast<double>(allocs) / static_cast<double>(ops > 0 ? ops : 1));
+}
+BENCHMARK(BM_HttpRequestCopy);
 
 namespace {
 

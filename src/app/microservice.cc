@@ -77,85 +77,71 @@ void Microservice::finish_one() {
 void Microservice::admit(http::HttpRequest request,
                          SimpleHttpServer::Responder respond) {
   ++in_service_;
-  // Release the worker slot once the response goes out.
-  respond = [this, inner = std::move(respond)](http::HttpResponse response) {
-    inner(std::move(response));
-    finish_one();
-  };
-  HandlerResult plan = handler_(request);
-  auto shared_req = std::make_shared<http::HttpRequest>(std::move(request));
+  auto visit = std::make_shared<Visit>();
+  visit->plan = handler_(request);
+  visit->request = std::move(request);
+  visit->respond = std::move(respond);
   // A degraded pod (fault injection) serves each request proportionally
   // slower; the factor is sampled at admission, like a CPU-starved worker.
   const sim::Duration delay = static_cast<sim::Duration>(
-      static_cast<double>(plan.processing_delay) * pod_.compute_multiplier());
-  sim_.schedule_after(delay, [this, shared_req = std::move(shared_req),
-                              plan = std::move(plan),
-                              respond = std::move(respond)]() mutable {
-    fan_out(std::move(shared_req), std::move(plan), std::move(respond));
+      static_cast<double>(visit->plan.processing_delay) *
+      pod_.compute_multiplier());
+  sim_.schedule_after(delay, [this, visit = std::move(visit)] {
+    fan_out(visit);
   });
 }
 
-void Microservice::fan_out(std::shared_ptr<http::HttpRequest> request,
-                           HandlerResult plan,
-                           SimpleHttpServer::Responder respond) {
-  struct FanState {
-    std::size_t outstanding = 0;
-    std::size_t body_bytes = 0;
-    bool failed = false;
-    HandlerResult plan;
-    SimpleHttpServer::Responder respond;
-  };
-  auto state = std::make_shared<FanState>();
-  state->plan = std::move(plan);
-  state->respond = std::move(respond);
-  state->outstanding = state->plan.calls.size();
-  state->body_bytes = state->plan.response_bytes;
+void Microservice::finish(Visit& visit) {
+  http::HttpResponse response;
+  if (visit.failed && options_.fail_on_sub_error) {
+    response.status = 502;
+    response.body = "upstream dependency failed";
+  } else {
+    response.status = visit.plan.status;
+    response.body_tail = visit.body_bytes;
+  }
+  response.headers.set("x-app", pod_.service());
+  visit.respond(std::move(response));
+  // Release the worker slot once the response goes out.
+  finish_one();
+}
 
-  auto finish = [this, state] {
-    http::HttpResponse response;
-    if (state->failed && options_.fail_on_sub_error) {
-      response.status = 502;
-      response.body = "upstream dependency failed";
-    } else {
-      response.status = state->plan.status;
-      response.body_tail = state->body_bytes;
-    }
-    response.headers.set("x-app", pod_.service());
-    state->respond(std::move(response));
-  };
-
-  if (state->outstanding == 0) {
-    finish();
+void Microservice::fan_out(const std::shared_ptr<Visit>& visit) {
+  visit->outstanding = visit->plan.calls.size();
+  visit->body_bytes = visit->plan.response_bytes;
+  if (visit->outstanding == 0) {
+    finish(*visit);
     return;
   }
 
-  for (const SubCall& call : state->plan.calls) {
+  const http::HttpRequest& request = visit->request;
+  for (const SubCall& call : visit->plan.calls) {
     http::HttpRequest sub;
     sub.method = call.method;
     sub.path = call.path;
     sub.headers.set(http::headers::Id::kHost, call.service);
     for (const http::headers::Id header : kPropagatedHeaders) {
-      if (const auto value = request->headers.get(header)) {
+      if (const auto value = request.headers.get(header)) {
         sub.headers.set(header, *value);
       }
     }
     if (options_.propagate_priority_header) {
       if (const auto value =
-              request->headers.get(http::headers::Id::kMeshPriority)) {
+              request.headers.get(http::headers::Id::kMeshPriority)) {
         sub.headers.set(http::headers::Id::kMeshPriority, *value);
       }
     }
     ++sub_sent_;
     sidecar_client_->request(
         std::move(sub),
-        [state, finish](std::optional<http::HttpResponse> response,
-                        const std::string& /*error*/) {
+        [this, visit](std::optional<http::HttpResponse> response,
+                      const std::string& /*error*/) {
           if (!response || !response->ok()) {
-            state->failed = true;
-          } else if (state->plan.aggregate_sub_bodies) {
-            state->body_bytes += response->body_size();
+            visit->failed = true;
+          } else if (visit->plan.aggregate_sub_bodies) {
+            visit->body_bytes += response->body_size();
           }
-          if (--state->outstanding == 0) finish();
+          if (--visit->outstanding == 0) finish(*visit);
         });
   }
 }

@@ -90,8 +90,19 @@ class Microservice {
   void serve(http::HttpRequest request, SimpleHttpServer::Responder respond);
   void admit(http::HttpRequest request, SimpleHttpServer::Responder respond);
   void finish_one();
-  void fan_out(std::shared_ptr<http::HttpRequest> request,
-               HandlerResult plan, SimpleHttpServer::Responder respond);
+
+  /// One admitted request, shared by its compute wait and its sub-calls.
+  struct Visit {
+    http::HttpRequest request;
+    HandlerResult plan;
+    SimpleHttpServer::Responder respond;
+    std::size_t outstanding = 0;
+    std::size_t body_bytes = 0;
+    bool failed = false;
+  };
+  void fan_out(const std::shared_ptr<Visit>& visit);
+  /// Answers the visit and frees its worker slot.
+  void finish(Visit& visit);
 
   sim::Simulator& sim_;
   cluster::Pod& pod_;

@@ -12,6 +12,7 @@
 // filter is safe to install mesh-wide.
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/priority.h"
@@ -32,7 +33,7 @@ class PriorityRouterFilter final : public mesh::HttpFilter {
   std::uint64_t routed_low() const noexcept { return low_; }
 
  private:
-  bool applies_to(const std::string& cluster_or_host) const;
+  bool applies_to(std::string_view cluster_or_host) const;
 
   std::vector<std::string> clusters_;
   std::uint64_t high_ = 0;

@@ -47,7 +47,7 @@ ProvenanceFilter::ProvenanceFilter(std::shared_ptr<ProvenanceTable> table)
     : table_(std::move(table)) {}
 
 mesh::FilterStatus ProvenanceFilter::on_request(mesh::RequestContext& ctx) {
-  const std::string request_id = ctx.request.request_id();
+  const std::string request_id(ctx.request.request_id());
   auto priority = request_priority(ctx.request);
 
   if (ctx.direction == mesh::FilterDirection::kInbound) {

@@ -1,5 +1,6 @@
 #include "http/codec.h"
 
+#include <tuple>
 #include <utility>
 
 #include "util/strings.h"
@@ -12,13 +13,14 @@ constexpr std::string_view kHttpVersion = "HTTP/1.1";
 
 void append_headers(std::string& out, const HeaderMap& headers,
                     std::size_t body_size) {
-  const auto& entries = headers.entries();
-  for (std::size_t i = 0; i < entries.size(); ++i) {
+  for (std::size_t i = 0; i < headers.size(); ++i) {
     if (headers.id_at(i) == headers::Id::kContentLength) {
       continue;  // always emit an accurate one below
     }
-    const auto& [name, value] = entries[i];
-    out.append(name).append(": ").append(value).append(kCrlf);
+    out.append(headers.name_at(i))
+        .append(": ")
+        .append(headers.value_at(i))
+        .append(kCrlf);
   }
   out.append(headers::kContentLength)
       .append(": ")
@@ -65,7 +67,9 @@ net::Payload serialize_response(const HttpResponse& response) {
   return finish(out, response);
 }
 
-HttpParser::HttpParser(ParserKind kind) : kind_(kind) {}
+HttpParser::HttpParser(ParserKind kind) : kind_(kind) {
+  if (kind_ == ParserKind::kResponse) message_ = HttpResponse{};
+}
 
 void HttpParser::reset() {
   state_ = State::kHead;
@@ -74,8 +78,11 @@ void HttpParser::reset() {
   body_.clear();
   body_tail_ = 0;
   body_expected_ = 0;
-  request_ = HttpRequest{};
-  response_ = HttpResponse{};
+  if (kind_ == ParserKind::kRequest) {
+    message_ = HttpRequest{};
+  } else {
+    message_ = HttpResponse{};
+  }
 }
 
 void HttpParser::fail(ParserError error) {
@@ -90,23 +97,14 @@ bool HttpParser::feed(std::string_view data, std::size_t tail) {
         fail(ParserError::kTailInHead);
         break;
       }
-      // Accumulate until the blank line ending the head. To find the
-      // terminator across chunk boundaries, search the tail of the
-      // buffer after appending.
-      const std::size_t buffered = head_buffer_.size();
-      const std::size_t scan_from = buffered < 3 ? 0 : buffered - 3;
-      head_buffer_.append(data);
-      const std::size_t end = head_buffer_.find("\r\n\r\n", scan_from);
-      if (end == std::string::npos) {
-        data = {};
-        if (head_buffer_.size() > kMaxHeadBytes) fail(ParserError::kHeadTooLarge);
+      const std::optional<std::string_view> head = take_head(data);
+      if (!head) {
+        if (head_buffer_.size() > kMaxHeadBytes) {
+          fail(ParserError::kHeadTooLarge);
+        }
         continue;
       }
-      // Anything after the head belongs to the body (or the next message)
-      // and goes round the state machine again.
-      data.remove_prefix(end + 4 - buffered);
-      head_buffer_.resize(end);
-      parse_head();
+      parse_head(*head);
       if (state_ == State::kError) return false;
       head_buffer_.clear();
       if (body_expected_ == 0) {
@@ -141,17 +139,41 @@ bool HttpParser::feed(std::string_view data, std::size_t tail) {
   return state_ != State::kError;
 }
 
-void HttpParser::parse_head() {
+std::optional<std::string_view> HttpParser::take_head(std::string_view& data) {
+  const std::size_t buffered = head_buffer_.size();
+  if (buffered == 0) {
+    // The common case: the whole head is in this chunk, parsed in place.
+    const std::size_t end = data.find("\r\n\r\n");
+    if (end != std::string_view::npos) {
+      const std::string_view head = data.substr(0, end);
+      data.remove_prefix(end + 4);
+      return head;
+    }
+  }
+  // A head split across chunks accumulates here. The terminator may
+  // straddle the seam, so search from just before it.
+  head_buffer_.append(data);
+  const std::size_t end =
+      head_buffer_.find("\r\n\r\n", buffered < 3 ? 0 : buffered - 3);
+  if (end == std::string::npos) {
+    data = {};
+    return std::nullopt;
+  }
+  data.remove_prefix(end + 4 - buffered);
+  head_buffer_.resize(end);
+  return std::string_view(head_buffer_);
+}
+
+void HttpParser::parse_head(std::string_view head) {
   // Split the head into lines; the first is the start line.
-  std::string_view head(head_buffer_);
   const std::size_t first_eol = head.find("\r\n");
   const std::string_view start_line =
       first_eol == std::string_view::npos ? head : head.substr(0, first_eol);
   if (!parse_start_line(start_line)) return;
 
-  HeaderMap& headers =
-      kind_ == ParserKind::kRequest ? request_.headers : response_.headers;
-  headers = HeaderMap{};
+  // emit_message() and reset() leave the message being built empty.
+  HeaderMap& headers = std::visit(
+      [](auto& message) -> HeaderMap& { return message.headers; }, message_);
   std::string_view remaining = first_eol == std::string_view::npos
                                    ? std::string_view{}
                                    : head.substr(first_eol + 2);
@@ -190,49 +212,69 @@ void HttpParser::parse_head() {
   body_tail_ = 0;
 }
 
+namespace {
+/// The space-separated field of `line` starting at `from`, and the index
+/// just past it (npos at the end of the line).
+std::pair<std::string_view, std::size_t> field_at(std::string_view line,
+                                                  std::size_t from) {
+  const std::size_t space = line.find(' ', from);
+  if (space == std::string_view::npos) {
+    return {line.substr(from), std::string_view::npos};
+  }
+  return {line.substr(from, space - from), space + 1};
+}
+}  // namespace
+
 bool HttpParser::parse_start_line(std::string_view line) {
-  const auto parts = util::split(line, ' ');
+  const auto [first, after_first] = field_at(line, 0);
+  std::string_view second;
+  std::size_t after_second = std::string_view::npos;
+  if (after_first != std::string_view::npos) {
+    std::tie(second, after_second) = field_at(line, after_first);
+  }
   if (kind_ == ParserKind::kRequest) {
     // METHOD SP PATH SP VERSION
-    if (parts.size() < 3 || parts[0].empty() || parts[1].empty() ||
-        !util::starts_with(parts[2], "HTTP/")) {
+    if (after_second == std::string_view::npos || first.empty() ||
+        second.empty() ||
+        !util::starts_with(line.substr(after_second), "HTTP/")) {
       fail(ParserError::kBadStartLine);
       return false;
     }
-    request_ = HttpRequest{};
-    request_.method = std::string(parts[0]);
-    request_.path = std::string(parts[1]);
+    HttpRequest& request = std::get<HttpRequest>(message_);
+    request.method.assign(first);
+    request.path.assign(second);
     return true;
   }
   // VERSION SP STATUS SP REASON...
-  if (parts.size() < 2 || !util::starts_with(parts[0], "HTTP/")) {
+  if (after_first == std::string_view::npos ||
+      !util::starts_with(first, "HTTP/")) {
     fail(ParserError::kBadStartLine);
     return false;
   }
-  const auto status = util::parse_u64(parts[1]);
+  const auto status = util::parse_u64(second);
   if (!status || *status < 100 || *status > 599) {
     fail(ParserError::kBadStartLine);
     return false;
   }
-  response_ = HttpResponse{};
-  response_.status = static_cast<int>(*status);
+  std::get<HttpResponse>(message_).status = static_cast<int>(*status);
   return true;
 }
 
 void HttpParser::emit_message() {
   ++parsed_;
-  if (kind_ == ParserKind::kRequest) {
-    request_.body = std::move(body_);
-    request_.body_tail = body_tail_;
+  if (auto* request = std::get_if<HttpRequest>(&message_)) {
+    request->body = std::move(body_);
+    request->body_tail = body_tail_;
     body_.clear();
-    if (on_request_) on_request_(std::move(request_));
-    request_ = HttpRequest{};
+    if (on_request_) on_request_(std::move(*request));
+    *request = HttpRequest{};
   } else {
-    response_.body = std::move(body_);
-    response_.body_tail = body_tail_;
+    auto& response = std::get<HttpResponse>(message_);
+    response.body = std::move(body_);
+    response.body_tail = body_tail_;
     body_.clear();
-    if (on_response_) on_response_(std::move(response_));
-    response_ = HttpResponse{};
+    if (on_response_) on_response_(std::move(response));
+    response = HttpResponse{};
   }
   body_tail_ = 0;
   body_expected_ = 0;

@@ -18,6 +18,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <variant>
 
 #include "http/message.h"
 #include "net/payload.h"
@@ -77,7 +78,11 @@ class HttpParser {
  private:
   enum class State { kHead, kBody, kError };
 
-  void parse_head();
+  /// Takes the head (start line and headers, without the blank line)
+  /// off the front of `data` once its terminator has arrived; until then
+  /// buffers `data` and returns nullopt.
+  std::optional<std::string_view> take_head(std::string_view& data);
+  void parse_head(std::string_view head);
   bool parse_start_line(std::string_view line);
   void emit_message();
   void fail(ParserError error);
@@ -89,8 +94,9 @@ class HttpParser {
   std::string body_;
   std::size_t body_tail_ = 0;
   std::size_t body_expected_ = 0;
-  HttpRequest request_;
-  HttpResponse response_;
+  /// The message being parsed: a request or a response, by kind_ (one
+  /// parser per connection end, so it holds only the one it parses).
+  std::variant<HttpRequest, HttpResponse> message_;
   std::uint64_t parsed_ = 0;
   RequestHandler on_request_;
   ResponseHandler on_response_;

@@ -41,15 +41,19 @@ std::string_view status_text(int status) noexcept {
   }
 }
 
-std::string generate_request_id() {
+std::string_view generate_request_id(char (&buffer)[kRequestIdBytes]) {
   ++g_request_counter;
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "req-%llu-%08llx",
-                static_cast<unsigned long long>(g_request_counter),
-                static_cast<unsigned long long>(g_request_counter *
-                                                0x9e3779b97f4a7c15ULL >>
-                                                32));
-  return buf;
+  const int n = std::snprintf(
+      buffer, sizeof buffer, "req-%llu-%08llx",
+      static_cast<unsigned long long>(g_request_counter),
+      static_cast<unsigned long long>(g_request_counter *
+                                      0x9e3779b97f4a7c15ULL >> 32));
+  return {buffer, static_cast<std::size_t>(n)};
+}
+
+std::string generate_request_id() {
+  char buffer[kRequestIdBytes];
+  return std::string(generate_request_id(buffer));
 }
 
 void reset_request_id_counter() { g_request_counter = 0; }

@@ -25,7 +25,7 @@ struct HttpRequest {
   std::size_t body_size() const noexcept { return body.size() + body_tail; }
 
   /// Convenience accessors for the headers the mesh manipulates.
-  std::string request_id() const {
+  std::string_view request_id() const {
     return headers.get_or(headers::Id::kRequestId, "");
   }
   void set_request_id(std::string_view id) {
@@ -51,6 +51,13 @@ std::string_view status_text(int status) noexcept;
 /// simulations running concurrently on different threads (sweep points)
 /// draw the same sequences they would single-threaded.
 std::string generate_request_id();
+
+/// Room for any generate_request_id() value.
+inline constexpr std::size_t kRequestIdBytes = 48;
+
+/// As generate_request_id(), written into `buffer` without allocating;
+/// returns the id's bytes in `buffer`.
+std::string_view generate_request_id(char (&buffer)[kRequestIdBytes]);
 
 /// Resets the calling thread's request-id counter (experiments call this
 /// at start so repeated runs in one process produce identical ids).

@@ -10,28 +10,32 @@ TracingFilter::TracingFilter(Tracer& tracer, sim::Simulator& sim,
 
 FilterStatus TracingFilter::on_request(RequestContext& ctx) {
   if (ctx.request.request_id().empty()) {
-    ctx.request.set_request_id(http::generate_request_id());
+    char id[http::kRequestIdBytes];
+    ctx.request.set_request_id(http::generate_request_id(id));
   }
-  const TraceContext parent = TraceContext::extract(ctx.request.headers);
-  ctx.span = tracer_.start_span(
-      service_,
-      std::string(ctx.direction == FilterDirection::kInbound ? "in " : "out ") +
-          ctx.request.method + " " + ctx.request.path,
-      parent, sim_.now());
+  ctx.span = tracer_.open_span(ctx.request.headers, sim_.now());
   ctx.span_active = true;
-  TraceContext child;
-  child.trace_id = ctx.span.trace_id;
-  child.span_id = ctx.span.span_id;
-  child.inject(ctx.request.headers, ctx.span.parent_span_id);
   return FilterStatus::kContinue;
 }
 
 void TracingFilter::on_response(RequestContext& ctx,
                                 http::HttpResponse& response) {
   if (!ctx.span_active) return;
-  ctx.span.error = response.status >= 500;
-  tracer_.finish_span(std::move(ctx.span), sim_.now());
   ctx.span_active = false;
+  const bool error = response.status >= 500;
+  obs::SpanExporter& exporter = tracer_.exporter();
+  if (!exporter.wants_records()) {
+    // Nothing keeps the record: skip formatting its strings.
+    exporter.count_span(service_, error, sim_.now() - ctx.span.start);
+    return;
+  }
+  Span span = Tracer::record_of(ctx.span);
+  span.service = service_;
+  span.operation =
+      std::string(ctx.direction == FilterDirection::kInbound ? "in " : "out ") +
+      ctx.request.method + " " + ctx.request.path;
+  span.error = error;
+  tracer_.finish_span(std::move(span), sim_.now());
 }
 
 FilterStatus SourceIdentityFilter::on_request(RequestContext& ctx) {
@@ -47,7 +51,7 @@ FilterStatus AuthorizationFilter::on_request(RequestContext& ctx) {
   }
   const auto it = policies_->find(service_);
   if (it == policies_->end()) return FilterStatus::kContinue;  // allow all
-  const std::string source =
+  const std::string_view source =
       ctx.request.headers.get_or(http::headers::Id::kMeshSource, "");
   const auto& allowed = it->second;
   if (std::find(allowed.begin(), allowed.end(), source) != allowed.end()) {
@@ -55,7 +59,7 @@ FilterStatus AuthorizationFilter::on_request(RequestContext& ctx) {
   }
   http::HttpResponse deny;
   deny.status = 403;
-  deny.body = "RBAC: access denied for source '" + source + "'";
+  deny.body = "RBAC: access denied for source '" + std::string(source) + "'";
   ctx.local_response = std::move(deny);
   return FilterStatus::kStopIteration;
 }

@@ -59,7 +59,7 @@ struct RequestContext {
   /// Pods already attempted for this request; retries prefer endpoints
   /// not on this list (Envoy's previous-hosts retry predicate).
   std::vector<std::string> tried_pods;
-  Span span;
+  OpenSpan span;
   bool span_active = false;
 
   /// Set by a filter to short-circuit with a local reply (e.g. 403).

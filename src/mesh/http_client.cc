@@ -33,10 +33,19 @@ HttpClientPool::~HttpClientPool() {
 HttpClientPool::RequestId HttpClientPool::request(http::HttpRequest request,
                                                   ResponseHandler handler) {
   const RequestId id = next_id_++;
-  Pending pending;
-  pending.id = id;
-  pending.request = std::move(request);
-  pending.handler = std::move(handler);
+  Pending pending{id, std::move(request), std::move(handler)};
+  if (queue_.empty() && !dispatching_) {
+    // Nothing queued ahead: hand it to a connection without queueing.
+    dispatching_ = true;
+    Slot* slot = find_idle();
+    if (slot == nullptr) slot = create_slot();
+    if (slot != nullptr) assign(*slot, std::move(pending));
+    dispatching_ = false;
+    if (slot != nullptr) {
+      dispatch();  // anything a callback queued meanwhile
+      return id;
+    }
+  }
   queue_.push_back(std::move(pending));
   dispatch();
   return id;
@@ -101,7 +110,7 @@ HttpClientPool::Slot* HttpClientPool::create_slot() {
         sim_, TlsChannel::Role::kClient, options_.tls.params,
         options_.tls.local_cert, options_.tls.runtime, remote_.to_string());
     raw->tls = channel;
-    channel->set_send_wire([conn_ptr](std::string bytes) {
+    channel->set_send_wire([conn_ptr](net::Payload bytes) {
       if (!conn_ptr->closed()) conn_ptr->send(std::move(bytes));
     });
     channel->set_on_plaintext([raw](std::string_view data) {

@@ -12,8 +12,8 @@
 // up to max_connections and queues beyond that.
 
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <list>
 #include <memory>
 #include <optional>
 #include <string>
@@ -118,7 +118,9 @@ class HttpClientPool {
   Options options_;
   std::string name_;
   std::vector<std::unique_ptr<Slot>> slots_;
-  std::deque<Pending> queue_;
+  /// Requests waiting for a connection. A list: it allocates nothing
+  /// until a request actually waits, which only happens at the cap.
+  std::list<Pending> queue_;
   RequestId next_id_ = 1;
   std::size_t active_ = 0;
   std::uint64_t created_ = 0;

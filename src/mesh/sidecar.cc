@@ -360,9 +360,11 @@ std::uint64_t Sidecar::active_requests_to(const std::string& pod_name) const {
 
 CircuitBreaker& Sidecar::breaker_for(const std::string& cluster_name,
                                      const std::string& pod_name) {
-  const std::string key = cluster_name + "/" + pod_name;
-  const auto it = breakers_.find(key);
+  // The key is built in a reused buffer: the hit path never allocates.
+  breaker_key_.assign(cluster_name).append("/").append(pod_name);
+  const auto it = breakers_.find(breaker_key_);
   if (it != breakers_.end()) return it->second;
+  const std::string key = breaker_key_;
   const auto spec_it = config_.clusters.find(cluster_name);
   CircuitBreakerConfig cfg =
       spec_it == config_.clusters.end() ? CircuitBreakerConfig{}
@@ -464,7 +466,7 @@ void Sidecar::setup_server_tls(ServerSession& session) {
       sim_, TlsChannel::Role::kServer, &config_.tls, &config_.identity_cert,
       &tls_runtime(), /*peer_key=*/"");
   session.tls = channel;
-  channel->set_send_wire([this, id](std::string bytes) {
+  channel->set_send_wire([this, id](net::Payload bytes) {
     const auto it = sessions_.find(id);
     if (it != sessions_.end()) it->second->conn->send(std::move(bytes));
   });
@@ -498,15 +500,20 @@ void Sidecar::on_session_request(std::uint64_t session_id,
   const auto it = sessions_.find(session_id);
   if (it == sessions_.end()) return;
   ServerSession& session = *it->second;
-  session.pending.push_back(std::move(req));
+  if (!session.busy && session.pending.empty()) {
+    // Nothing ahead of it: skip the queue.
+    session.busy = true;
+    process_request(session_id, std::move(req), session.direction);
+    return;
+  }
+  session.pending.push(std::move(req));
   pump_session(session);
 }
 
 void Sidecar::pump_session(ServerSession& session) {
   if (session.busy || session.pending.empty()) return;
   session.busy = true;
-  http::HttpRequest req = std::move(session.pending.front());
-  session.pending.pop_front();
+  http::HttpRequest req = session.pending.pop();
   process_request(session.id, std::move(req), session.direction);
 }
 
@@ -522,25 +529,24 @@ http::HttpResponse Sidecar::make_local_response(int status,
 
 void Sidecar::process_request(std::uint64_t session_id, http::HttpRequest req,
                               FilterDirection direction) {
-  // Charge the proxy's request-path processing cost before any filter or
-  // routing work happens.
-  const sim::Duration delay = proxy_delay();
-  if (delay > 0) {
-    sim_.schedule_after(
-        delay, [this, session_id, req = std::move(req), direction]() mutable {
-          process_request_now(session_id, std::move(req), direction);
-        });
-    return;
-  }
-  process_request_now(session_id, std::move(req), direction);
-}
-
-void Sidecar::process_request_now(std::uint64_t session_id,
-                                  http::HttpRequest req,
-                                  FilterDirection direction) {
   auto ctx = std::make_shared<RequestContext>();
   ctx->request = std::move(req);
   ctx->direction = direction;
+  // Charge the proxy's request-path processing cost before any filter or
+  // routing work happens. The wait captures the context, not the
+  // request, so it stays inside sim::InlineTask's buffer.
+  const sim::Duration delay = proxy_delay();
+  if (delay > 0) {
+    sim_.schedule_after(delay, [this, session_id, ctx = std::move(ctx)] {
+      process_request_now(session_id, ctx);
+    });
+    return;
+  }
+  process_request_now(session_id, std::move(ctx));
+}
+
+void Sidecar::process_request_now(std::uint64_t session_id, Ctx ctx) {
+  const FilterDirection direction = ctx->direction;
   ctx->start_time = sim_.now();
   ctx->source_service =
       ctx->request.headers.get_or(http::headers::Id::kMeshSource, "");
@@ -734,51 +740,48 @@ void Sidecar::finish_outbound(std::uint64_t session_id, const Ctx& ctx,
   respond_to_session(session_id, ctx, std::move(response));
 }
 
-const ClusterSpec* Sidecar::resolve_cluster(const std::string& host) const {
-  std::string cluster_name = host;
+const ClusterSpec* Sidecar::resolve_cluster(std::string_view host) const {
+  std::string_view cluster_name = host;
   const auto route = config_.routes.find(host);
   if (route != config_.routes.end()) cluster_name = route->second;
   const auto it = config_.clusters.find(cluster_name);
   return it == config_.clusters.end() ? nullptr : &it->second;
 }
 
-std::vector<const cluster::Endpoint*> Sidecar::eligible_endpoints(
-    const ClusterSpec& spec, const RequestContext& ctx, bool ignore_health) {
+void Sidecar::eligible_endpoints(const ClusterSpec& spec,
+                                 const RequestContext& ctx, bool ignore_health,
+                                 std::vector<const cluster::Endpoint*>& out) {
   // Active health checking narrows the candidate set first; if *every*
   // endpoint is evicted, panic-route over the full set (Envoy's panic
   // threshold, degenerate form) — probes can be wrong, a guaranteed 503
   // never is right.
-  std::vector<const cluster::Endpoint*> considered;
+  out.clear();
   for (const cluster::Endpoint& ep : spec.endpoints) {
     if (ignore_health || !spec.health_check.enabled ||
         health_checker_ == nullptr ||
         health_checker_->healthy(spec.name, ep.pod_name)) {
-      considered.push_back(&ep);
+      out.push_back(&ep);
     }
   }
-  if (considered.empty()) {
-    for (const cluster::Endpoint& ep : spec.endpoints) {
-      considered.push_back(&ep);
-    }
+  if (out.empty()) {
+    for (const cluster::Endpoint& ep : spec.endpoints) out.push_back(&ep);
   }
+  if (ctx.subset.empty()) return;
 
-  std::vector<const cluster::Endpoint*> subset_matched;
-  std::vector<const cluster::Endpoint*> all;
-  for (const cluster::Endpoint* ep_ptr : considered) {
-    const cluster::Endpoint& ep = *ep_ptr;
-    all.push_back(&ep);
-    bool matches = true;
+  const auto matches = [&](const cluster::Endpoint* ep) {
     for (const auto& [key, value] : ctx.subset) {
-      if (ep.label_or(key, "") != value) {
-        matches = false;
-        break;
-      }
+      if (ep->label_or(key, "") != value) return false;
     }
-    if (matches) subset_matched.push_back(&ep);
+    return true;
+  };
+  // The subset's members when any; otherwise every candidate (fallback)
+  // or none.
+  if (std::any_of(out.begin(), out.end(), matches)) {
+    std::erase_if(out,
+                  [&](const cluster::Endpoint* ep) { return !matches(ep); });
+  } else if (!spec.subset_fallback) {
+    out.clear();
   }
-  if (!subset_matched.empty()) return subset_matched;
-  if (!ctx.subset.empty() && spec.subset_fallback) return all;
-  return subset_matched;  // empty
 }
 
 HttpClientPool& Sidecar::pool_for(const cluster::Endpoint& endpoint,
@@ -843,7 +846,7 @@ transport::ConnectionOptions Sidecar::connection_options_for(
 }
 
 void Sidecar::route_and_forward(std::uint64_t session_id, Ctx ctx) {
-  const std::string host =
+  const std::string_view host =
       ctx->request.headers.get_or(http::headers::Id::kHost, "");
   if (!ctx->upstream_cluster.empty()) {
     // A filter already routed (e.g. traffic shifting); keep it.
@@ -851,7 +854,8 @@ void Sidecar::route_and_forward(std::uint64_t session_id, Ctx ctx) {
     ctx->upstream_cluster = spec->name;
   } else {
     finish_outbound(session_id, ctx, /*cluster_name=*/"", /*endpoint_pod=*/"",
-                    make_local_response(404, "no route for host " + host));
+                    make_local_response(
+                        404, "no route for host " + std::string(host)));
     return;
   }
   const auto it = sessions_.find(session_id);
@@ -918,23 +922,28 @@ void Sidecar::attempt_upstream(std::uint64_t session_id, Ctx ctx) {
     return;
   }
 
-  std::vector<const cluster::Endpoint*> candidates =
-      eligible_endpoints(spec, *ctx);
+  // Candidate lists live in reused member buffers: one request's pick
+  // allocates nothing once they are warm.
+  std::vector<const cluster::Endpoint*>& candidates = candidates_scratch_;
+  std::vector<const cluster::Endpoint*>& picks = pick_scratch_;
+  eligible_endpoints(spec, *ctx, /*ignore_health=*/false, candidates);
   LbContext lb_ctx;
   lb_ctx.active_requests = [this](const cluster::Endpoint& ep) {
     return active_requests_to(ep.pod_name);
   };
   LoadBalancer& balancer = balancer_for(spec);
+  // Picks from `from` until the breaker admits one, dropping each
+  // rejected pick from `from`.
   const auto pick_allowed =
-      [&](std::vector<const cluster::Endpoint*> pool) -> const
+      [&](std::vector<const cluster::Endpoint*>& from) -> const
       cluster::Endpoint* {
-    while (!pool.empty()) {
-      const cluster::Endpoint* pick = balancer.pick(pool, lb_ctx);
+    while (!from.empty()) {
+      const cluster::Endpoint* pick = balancer.pick(from, lb_ctx);
       if (pick == nullptr) break;
       if (breaker_for(spec.name, pick->pod_name).allow_request(sim_.now())) {
         return pick;
       }
-      pool.erase(std::find(pool.begin(), pool.end(), pick));
+      from.erase(std::find(from.begin(), from.end(), pick));
     }
     return nullptr;
   };
@@ -942,16 +951,11 @@ void Sidecar::attempt_upstream(std::uint64_t session_id, Ctx ctx) {
   // (Envoy's previous-hosts retry predicate): a retry that re-picks the
   // pod that just timed out burns its whole per-try budget relearning
   // what the request already knows.
-  const auto without_tried = [&](std::vector<const cluster::Endpoint*> pool) {
-    if (ctx->tried_pods.empty()) return pool;
-    std::vector<const cluster::Endpoint*> untried;
-    for (const cluster::Endpoint* ep : pool) {
-      if (std::find(ctx->tried_pods.begin(), ctx->tried_pods.end(),
-                    ep->pod_name) == ctx->tried_pods.end()) {
-        untried.push_back(ep);
-      }
-    }
-    return untried;
+  const auto drop_tried = [&](std::vector<const cluster::Endpoint*>& from) {
+    std::erase_if(from, [&](const cluster::Endpoint* ep) {
+      return std::find(ctx->tried_pods.begin(), ctx->tried_pods.end(),
+                       ep->pod_name) != ctx->tried_pods.end();
+    });
   };
   // Preference order: (1) health-admitted and untried; (2) any untried
   // endpoint, health belief ignored — under a churn storm the
@@ -959,21 +963,24 @@ void Sidecar::attempt_upstream(std::uint64_t session_id, Ctx ctx) {
   // that just timed out for THIS request is stronger evidence than a
   // stale probe verdict for another; (3) health-admitted, tried or not;
   // (4) anything. Breakers are honored at every tier.
-  const cluster::Endpoint* chosen = pick_allowed(without_tried(candidates));
+  picks.assign(candidates.begin(), candidates.end());
+  drop_tried(picks);
+  const cluster::Endpoint* chosen = pick_allowed(picks);
   const bool health_filtered =
       spec.health_check.enabled && health_checker_ != nullptr;
   if (chosen == nullptr && health_filtered && !ctx->tried_pods.empty()) {
-    chosen = pick_allowed(without_tried(
-        eligible_endpoints(spec, *ctx, /*ignore_health=*/true)));
+    eligible_endpoints(spec, *ctx, /*ignore_health=*/true, picks);
+    drop_tried(picks);
+    chosen = pick_allowed(picks);
     if (chosen != nullptr) ++stats_.panic_picks;
   }
-  if (chosen == nullptr) chosen = pick_allowed(std::move(candidates));
+  if (chosen == nullptr) chosen = pick_allowed(candidates);
   if (chosen == nullptr && health_filtered) {
     // Second-level panic: every endpoint the health checker admits is
     // breaker-rejected. Probes can be wrong; a guaranteed 503 never is
     // right.
-    chosen =
-        pick_allowed(eligible_endpoints(spec, *ctx, /*ignore_health=*/true));
+    eligible_endpoints(spec, *ctx, /*ignore_health=*/true, picks);
+    chosen = pick_allowed(picks);
     if (chosen != nullptr) ++stats_.panic_picks;
   }
   if (chosen == nullptr) {
@@ -1023,13 +1030,17 @@ void Sidecar::attempt_upstream(std::uint64_t session_id, Ctx ctx) {
       });
 
   if (config_.retry.per_try_timeout > 0) {
+    // The timer captures no names, so it stays inside sim::InlineTask's
+    // buffer: a pending try timer always belongs to the session's current
+    // attempt (every result cancels it), whose names the session holds.
     session.try_timer = sim_.schedule_after(
-        config_.retry.per_try_timeout,
-        [this, session_id, ctx, cluster_name, endpoint_pod] {
+        config_.retry.per_try_timeout, [this, session_id, ctx] {
           const auto it = sessions_.find(session_id);
           if (it == sessions_.end()) return;
           ServerSession& s = *it->second;
           s.try_timer = sim::kInvalidEventId;
+          const std::string cluster_name = s.upstream_cluster;
+          const std::string endpoint_pod = s.upstream_endpoint;
           if (s.upstream_pool != nullptr && s.upstream_req != 0) {
             s.upstream_pool->cancel(s.upstream_req);
             s.upstream_pool = nullptr;

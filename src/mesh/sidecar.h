@@ -21,7 +21,6 @@
 // never share a transport connection.
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -39,8 +38,9 @@
 #include "mesh/load_balancer.h"
 #include "mesh/telemetry.h"
 #include "mesh/tls_session.h"
-#include "sim/random.h"
 #include "mesh/tracing.h"
+#include "net/fifo_ring.h"
+#include "sim/random.h"
 #include "transport/transport_host.h"
 
 namespace meshnet::mesh {
@@ -133,8 +133,8 @@ struct SidecarConfig {
 
   /// Host header -> cluster name. Hosts not listed route to the cluster
   /// with the same name, if one exists.
-  std::map<std::string, std::string> routes;
-  std::map<std::string, ClusterSpec> clusters;
+  std::map<std::string, std::string, std::less<>> routes;
+  std::map<std::string, ClusterSpec, std::less<>> clusters;
 
   RetryPolicy retry;
   sim::Duration request_timeout = sim::seconds(15);
@@ -291,7 +291,9 @@ class Sidecar {
     bool sniffed = false;
     std::shared_ptr<TlsChannel> tls;
     FilterDirection direction = FilterDirection::kInbound;
-    std::deque<http::HttpRequest> pending;
+    /// Pipelined requests behind the busy one; empty (and unallocated)
+    /// in the common one-at-a-time case.
+    net::FifoRing<http::HttpRequest> pending;
     bool busy = false;
     // Upstream call state for the active request (HTTP/1.1 serializes one
     // request per downstream connection, so one set suffices).
@@ -326,8 +328,7 @@ class Sidecar {
   void pump_session(ServerSession& session);
   void process_request(std::uint64_t session_id, http::HttpRequest req,
                        FilterDirection direction);
-  void process_request_now(std::uint64_t session_id, http::HttpRequest req,
-                           FilterDirection direction);
+  void process_request_now(std::uint64_t session_id, Ctx ctx);
   sim::Duration proxy_delay();
   void respond_to_session(std::uint64_t session_id, const Ctx& ctx,
                           http::HttpResponse response);
@@ -352,10 +353,10 @@ class Sidecar {
                           const std::string& endpoint_pod,
                           std::optional<http::HttpResponse> response,
                           const std::string& error);
-  const ClusterSpec* resolve_cluster(const std::string& host) const;
-  std::vector<const cluster::Endpoint*> eligible_endpoints(
-      const ClusterSpec& spec, const RequestContext& ctx,
-      bool ignore_health = false);
+  const ClusterSpec* resolve_cluster(std::string_view host) const;
+  void eligible_endpoints(const ClusterSpec& spec, const RequestContext& ctx,
+                          bool ignore_health,
+                          std::vector<const cluster::Endpoint*>& out);
   HttpClientPool& pool_for(const cluster::Endpoint& endpoint,
                            TrafficClass traffic_class, net::Port port,
                            bool mtls);
@@ -402,6 +403,10 @@ class Sidecar {
   sim::RngStream retry_rng_;
   std::string last_config_error_;
   bool started_ = false;
+  /// attempt_upstream's candidate lists, reused across requests.
+  std::vector<const cluster::Endpoint*> candidates_scratch_;
+  std::vector<const cluster::Endpoint*> pick_scratch_;
+  std::string breaker_key_;  ///< breaker_for's lookup key, reused
 };
 
 }  // namespace meshnet::mesh

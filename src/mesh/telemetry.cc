@@ -35,28 +35,30 @@ void TelemetrySink::intern_totals() {
   }
 }
 
-TelemetrySink::EdgeCells& TelemetrySink::edge_cells(
-    const std::string& source, const std::string& upstream) {
-  const auto it = edge_cells_.find({source, upstream});
+TelemetrySink::EdgeCells& TelemetrySink::edge_cells(std::string_view source,
+                                                    std::string_view upstream) {
+  const auto it = edge_cells_.find(std::pair(source, upstream));
   if (it != edge_cells_.end()) return it->second;
-  const obs::Labels labels = {{"source", source}, {"upstream", upstream}};
+  const obs::Labels labels = {{"source", std::string(source)},
+                              {"upstream", std::string(upstream)}};
   EdgeCells cells;
   cells.requests = &registry_->counter("mesh_requests_total", labels);
   cells.failures = &registry_->counter("mesh_failures_total", labels);
   cells.retries = &registry_->counter("mesh_retries_total", labels);
-  return edge_cells_.emplace(std::make_pair(source, upstream), cells)
+  return edge_cells_
+      .emplace(std::pair(std::string(source), std::string(upstream)), cells)
       .first->second;
 }
 
 TelemetrySink::ClusterCells& TelemetrySink::cluster_cells(
-    const std::string& cluster) {
+    std::string_view cluster) {
   const auto it = cluster_cells_.find(cluster);
   if (it != cluster_cells_.end()) return it->second;
-  const obs::Labels labels = {{"cluster", cluster}};
+  const obs::Labels labels = {{"cluster", std::string(cluster)}};
   ClusterCells cells;
   cells.requests = &registry_->counter("cluster_requests_total", labels);
   cells.failures = &registry_->counter("cluster_failures_total", labels);
-  return cluster_cells_.emplace(cluster, cells).first->second;
+  return cluster_cells_.emplace(std::string(cluster), cells).first->second;
 }
 
 void TelemetrySink::record_request(const RequestSample& sample) {
@@ -80,8 +82,8 @@ void TelemetrySink::record_request(const RequestSample& sample) {
     if (!cell) {
       cell = &registry_->histogram(
           "mesh_request_latency_ns",
-          {{"source", sample.source},
-           {"upstream", sample.upstream},
+          {{"source", std::string(sample.source)},
+           {"upstream", std::string(sample.upstream)},
            {"class", std::string(traffic_class_name(sample.priority))}});
     }
     cell->record(static_cast<std::uint64_t>(sample.latency));

@@ -43,8 +43,8 @@ namespace meshnet::mesh {
 
 /// One proxied request, as the sidecar reports it.
 struct RequestSample {
-  std::string source;    ///< caller service
-  std::string upstream;  ///< upstream cluster that (should have) served it
+  std::string_view source;    ///< caller service
+  std::string_view upstream;  ///< cluster that (should have) served it
   int status = 0;        ///< final HTTP status; <= 0 means transport error
   sim::Duration latency = 0;  ///< end-to-end through the sidecar, ns
   int retries = 0;            ///< attempts beyond the first
@@ -121,8 +121,21 @@ class TelemetrySink {
     obs::Counter* failures = nullptr;
   };
 
-  EdgeCells& edge_cells(const std::string& source, const std::string& upstream);
-  ClusterCells& cluster_cells(const std::string& cluster);
+  EdgeCells& edge_cells(std::string_view source, std::string_view upstream);
+  ClusterCells& cluster_cells(std::string_view cluster);
+
+  /// Orders (source, upstream) keys like std::pair<std::string,
+  /// std::string>, and finds them by a pair of views.
+  struct EdgeKeyLess {
+    using is_transparent = void;
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const noexcept {
+      const std::string_view a1 = a.first;
+      const std::string_view b1 = b.first;
+      return a1 < b1 || (a1 == b1 && std::string_view(a.second) <
+                                         std::string_view(b.second));
+    }
+  };
   void intern_totals();
 
   std::unique_ptr<obs::MetricRegistry> owned_registry_;
@@ -131,8 +144,9 @@ class TelemetrySink {
   obs::Counter* requests_total_ = nullptr;
   obs::Counter* failures_total_ = nullptr;
   std::array<obs::Counter*, obs::kEventKindCount> event_counters_{};
-  std::map<std::pair<std::string, std::string>, EdgeCells> edge_cells_;
-  std::map<std::string, ClusterCells> cluster_cells_;
+  std::map<std::pair<std::string, std::string>, EdgeCells, EdgeKeyLess>
+      edge_cells_;
+  std::map<std::string, ClusterCells, std::less<>> cluster_cells_;
   std::vector<MeshEvent> events_;
   obs::AccessLog access_log_;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <utility>
 
 namespace meshnet::mesh {
@@ -15,12 +16,6 @@ void append_u8(std::string& out, std::uint8_t v) {
 }
 
 void append_u16(std::string& out, std::uint16_t v) {
-  append_u8(out, static_cast<std::uint8_t>(v >> 8));
-  append_u8(out, static_cast<std::uint8_t>(v));
-}
-
-void append_u24(std::string& out, std::uint32_t v) {
-  append_u8(out, static_cast<std::uint8_t>(v >> 16));
   append_u8(out, static_cast<std::uint8_t>(v >> 8));
   append_u8(out, static_cast<std::uint8_t>(v));
 }
@@ -94,50 +89,85 @@ bool is_known_tls_record_type(std::uint8_t type) noexcept {
   return false;
 }
 
-std::string encode_tls_record(TlsRecordType type, std::string_view body,
-                              std::size_t tail) {
+net::Payload encode_tls_record(TlsRecordType type, std::string_view body,
+                               std::size_t tail) {
   const std::size_t body_size = body.size() + tail;
   assert(body_size <= 0xFFFFFF && "record body exceeds u24 length");
-  std::string out;
-  out.reserve(kRecordHeaderBytes + body_size);
-  append_u8(out, static_cast<std::uint8_t>(type));
-  append_u24(out, static_cast<std::uint32_t>(body_size));
-  out.append(body).append(tail, 'x');
-  return out;
+  return net::Payload::build(kRecordHeaderBytes + body_size, [&](char* out) {
+    out[0] = static_cast<char>(type);
+    out[1] = static_cast<char>(body_size >> 16);
+    out[2] = static_cast<char>(body_size >> 8);
+    out[3] = static_cast<char>(body_size);
+    body.copy(out + kRecordHeaderBytes, body.size());
+    std::memset(out + kRecordHeaderBytes + body.size(), 'x', tail);
+  });
 }
 
 TlsRecordParser::TlsRecordParser(std::size_t max_body_bytes)
     : max_body_bytes_(max_body_bytes) {}
 
+bool TlsRecordParser::check_header(std::string_view record) {
+  if (!is_known_tls_record_type(static_cast<std::uint8_t>(record[0]))) {
+    error_ = "unknown record type";
+    return false;
+  }
+  if (record_body_bytes(record) > max_body_bytes_) {
+    error_ = "oversized record";
+    return false;
+  }
+  return true;
+}
+
+std::size_t TlsRecordParser::record_body_bytes(std::string_view record) {
+  return static_cast<std::size_t>(static_cast<std::uint8_t>(record[1])) << 16 |
+         static_cast<std::size_t>(static_cast<std::uint8_t>(record[2])) << 8 |
+         static_cast<std::size_t>(static_cast<std::uint8_t>(record[3]));
+}
+
+bool TlsRecordParser::deliver(std::string_view record) {
+  if (on_record_) {
+    on_record_(static_cast<TlsRecordType>(record[0]),
+               record.substr(kRecordHeaderBytes));
+    if (has_error()) return false;  // handler-induced reset + error
+  }
+  return true;
+}
+
 bool TlsRecordParser::feed(std::string_view data) {
   if (has_error()) return false;
-  buffer_.append(data);
-  while (buffer_.size() >= kRecordHeaderBytes) {
-    const auto type = static_cast<std::uint8_t>(buffer_[0]);
-    if (!is_known_tls_record_type(type)) {
-      error_ = "unknown record type";
-      return false;
-    }
-    const std::size_t length =
-        (static_cast<std::size_t>(static_cast<std::uint8_t>(buffer_[1]))
-         << 16) |
-        (static_cast<std::size_t>(static_cast<std::uint8_t>(buffer_[2])) << 8) |
-        static_cast<std::size_t>(static_cast<std::uint8_t>(buffer_[3]));
-    if (length > max_body_bytes_) {
-      error_ = "oversized record";
-      return false;
-    }
-    if (buffer_.size() < kRecordHeaderBytes + length) break;
-    // Move the record out before the callback: the handler may feed more
-    // bytes (it never does today, but the codec should not care).
-    const std::string record =
-        buffer_.substr(kRecordHeaderBytes, length);
-    buffer_.erase(0, kRecordHeaderBytes + length);
-    if (on_record_) {
-      on_record_(static_cast<TlsRecordType>(type), record);
-      if (has_error()) return false;  // handler-induced reset + error
+  if (!buffer_.empty()) {
+    // Complete the record split across chunks, taking only its bytes.
+    const auto take = [&](std::size_t want) {
+      if (buffer_.size() < want) {
+        const std::size_t n = std::min(want - buffer_.size(), data.size());
+        buffer_.append(data.substr(0, n));
+        data.remove_prefix(n);
+      }
+      return buffer_.size() >= want;
+    };
+    if (!take(kRecordHeaderBytes)) return true;
+    if (!check_header(buffer_)) return false;
+    if (!take(kRecordHeaderBytes + record_body_bytes(buffer_))) return true;
+    // Deliver from a local, so a handler that feeds more bytes cannot
+    // move the record under its own feet; keep the buffer's capacity.
+    std::string record = std::move(buffer_);
+    buffer_.clear();
+    if (!deliver(record)) return false;
+    if (buffer_.empty()) {
+      record.clear();
+      buffer_.swap(record);
     }
   }
+  // Records wholly inside the chunk are delivered in place.
+  while (data.size() >= kRecordHeaderBytes) {
+    if (!check_header(data)) return false;
+    const std::size_t length = kRecordHeaderBytes + record_body_bytes(data);
+    if (data.size() < length) break;
+    const std::string_view record = data.substr(0, length);
+    data.remove_prefix(length);
+    if (!deliver(record)) return false;
+  }
+  buffer_.append(data);
   return true;
 }
 
@@ -513,7 +543,7 @@ void TlsChannel::handle_finished() {
 
 void TlsChannel::handle_app_data(std::string_view body) {
   if (established()) {
-    deliver_plaintext(std::string(body));
+    deliver_plaintext(body);
     return;
   }
   if (role_ == Role::kServer && state_ == State::kWaitFinished) {
@@ -545,9 +575,9 @@ void TlsChannel::become_established() {
     encrypt_and_send(data);
   }
   while (!early_records_.empty() && !failed() && !closed_) {
-    std::string body = std::move(early_records_.front());
+    const std::string body = std::move(early_records_.front());
     early_records_.pop_front();
-    deliver_plaintext(std::move(body));
+    deliver_plaintext(body);
   }
 }
 
@@ -567,7 +597,7 @@ void TlsChannel::encrypt_and_send(const net::Payload& data) {
   }
 }
 
-void TlsChannel::deliver_plaintext(std::string body) {
+void TlsChannel::deliver_plaintext(std::string_view body) {
   TlsMetrics& metrics = runtime_->metrics();
   metrics.records_decrypted->inc();
   metrics.bytes_decrypted->inc(body.size());
@@ -580,9 +610,9 @@ void TlsChannel::deliver_plaintext(std::string body) {
     return;
   }
   auto self = shared_from_this();
-  sim_.schedule_at(ready, [self, b = std::move(body)] {
+  sim_.schedule_at(ready, [self, b = net::Payload::copy_of(body)] {
     if (self->closed_ || self->failed()) return;
-    if (self->on_plaintext_) self->on_plaintext_(b);
+    if (self->on_plaintext_) self->on_plaintext_(b.view());
   });
 }
 
@@ -591,7 +621,7 @@ sim::Duration TlsChannel::aead_cost(std::size_t body_bytes) const {
          params_->aead_per_kb * static_cast<sim::Duration>(body_bytes) / 1024;
 }
 
-void TlsChannel::queue_wire(std::string bytes, sim::Duration cost,
+void TlsChannel::queue_wire(net::Payload bytes, sim::Duration cost,
                             bool handshake_cpu) {
   const sim::Time now = sim_.now();
   sim::Time ready;
@@ -609,9 +639,9 @@ void TlsChannel::queue_wire(std::string bytes, sim::Duration cost,
     return;
   }
   auto self = shared_from_this();
-  sim_.schedule_at(ready, [self, b = std::move(bytes)] {
+  sim_.schedule_at(ready, [self, b = std::move(bytes)]() mutable {
     if (self->closed_) return;
-    if (self->send_wire_) self->send_wire_(b);
+    if (self->send_wire_) self->send_wire_(std::move(b));
   });
 }
 

@@ -112,15 +112,16 @@ enum class TlsRecordType : std::uint8_t {
 bool is_known_tls_record_type(std::uint8_t type) noexcept;
 
 /// Serializes one record whose body is `body` followed by `tail` 'x'
-/// bytes (a length-only payload tail, materialized here). The body must
-/// fit in 24 bits.
-std::string encode_tls_record(TlsRecordType type, std::string_view body,
-                              std::size_t tail = 0);
+/// bytes (a length-only payload tail, materialized here) into a pooled
+/// payload. The body must fit in 24 bits.
+net::Payload encode_tls_record(TlsRecordType type, std::string_view body,
+                               std::size_t tail = 0);
 
 /// Incremental record deframer (same feed contract as http::HttpParser):
 /// bytes in via feed(), complete records out via the handler, in order.
 /// Unknown record types and oversized lengths put the parser in a sticky
-/// error state and feed() returns false.
+/// error state and feed() returns false. Records wholly inside a chunk
+/// are handed out in place; only a record split across chunks is copied.
 class TlsRecordParser {
  public:
   using RecordHandler =
@@ -139,8 +140,13 @@ class TlsRecordParser {
   void reset();
 
  private:
+  bool check_header(std::string_view record);
+  static std::size_t record_body_bytes(std::string_view record);
+  /// Hands a whole record to the handler; false once it set an error.
+  bool deliver(std::string_view record);
+
   std::size_t max_body_bytes_;
-  std::string buffer_;
+  std::string buffer_;  ///< a record split across chunks, never more
   std::string error_;
   RecordHandler on_record_;
 };
@@ -293,7 +299,7 @@ class TlsChannel : public std::enable_shared_from_this<TlsChannel> {
     kFailed,
   };
 
-  using WireSink = std::function<void(std::string)>;
+  using WireSink = std::function<void(net::Payload)>;
   using PlaintextHandler = std::function<void(std::string_view)>;
   using ErrorHandler = std::function<void(const std::string&)>;
   using StateObserver = std::function<void(State)>;
@@ -352,14 +358,14 @@ class TlsChannel : public std::enable_shared_from_this<TlsChannel> {
   void handle_app_data(std::string_view body);
   void become_established();
   void encrypt_and_send(const net::Payload& data);
-  void deliver_plaintext(std::string body);
+  void deliver_plaintext(std::string_view body);
   /// AEAD charge for one record of `body_bytes` payload.
   sim::Duration aead_cost(std::size_t body_bytes) const;
   /// Serializes `bytes` onto the wire after `cost` of compute, behind
   /// everything already queued in the send direction. Handshake CPU
   /// (`handshake_cpu`) additionally contends on the runtime's shared
   /// crypto clock (see TlsRuntime::charge_handshake).
-  void queue_wire(std::string bytes, sim::Duration cost,
+  void queue_wire(net::Payload bytes, sim::Duration cost,
                   bool handshake_cpu = false);
   void cancel_timeout();
 

@@ -9,13 +9,14 @@
 // (core/) tie sub-requests back to the inbound request that caused them.
 //
 // The Tracer is a thin adapter over obs::SpanExporter: it owns id
-// allocation and the start/finish API the filters use, while the exporter
+// allocation and the open/finish API the filters use, while the exporter
 // owns retention, sink fan-out, and the per-service span series in the
 // unified metric registry.
 
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "http/header_map.h"
@@ -28,16 +29,18 @@ namespace meshnet::mesh {
 /// the exporter publishes it.
 using Span = obs::SpanRecord;
 
-/// Span context carried in HTTP headers.
-struct TraceContext {
-  std::string trace_id;
-  std::string span_id;
-
-  bool valid() const noexcept { return !trace_id.empty(); }
-
-  static TraceContext extract(const http::HeaderMap& headers);
-  void inject(http::HeaderMap& headers,
-              const std::string& parent_span_id) const;
+/// Ids of a span the tracing filter holds open. The tracer mints ids as
+/// "trace-%016llx" / "span-%016llx" of one counter; such an id is held as
+/// its number and formatted only when it is written into a header or a
+/// span record. An inherited id of any other form (minted outside this
+/// tracer) is held verbatim.
+struct OpenSpan {
+  std::uint64_t trace = 0;   ///< 0: the trace id is foreign_trace
+  std::uint64_t span = 0;
+  std::uint64_t parent = 0;  ///< 0: foreign_parent ("" for no parent)
+  std::string foreign_trace;
+  std::string foreign_parent;
+  sim::Time start = 0;
 };
 
 /// Allocates span ids and feeds finished spans to the exporter. One
@@ -49,12 +52,17 @@ class Tracer {
   explicit Tracer(obs::MetricRegistry* registry = nullptr)
       : exporter_(registry) {}
 
-  /// Starts a span; `parent` may be invalid (root span), in which case a
-  /// fresh trace id is allocated.
-  Span start_span(const std::string& service, const std::string& operation,
-                  const TraceContext& parent, sim::Time now);
+  /// Opens a span under the trace context `headers` carry (trace id and
+  /// span id; a root span with a fresh trace id when they carry none) and
+  /// writes the child's context back into them: its trace id, its span id
+  /// and, when it has one, its parent span id.
+  OpenSpan open_span(http::HeaderMap& headers, sim::Time now);
 
   void finish_span(Span span, sim::Time now);
+
+  /// A record of `span` with its ids formatted (service, operation and
+  /// end left for the caller).
+  static Span record_of(const OpenSpan& span);
 
   /// Retained finished spans (bounded by the retention limit).
   const std::vector<Span>& spans() const noexcept {
@@ -77,8 +85,6 @@ class Tracer {
   obs::SpanExporter& exporter() noexcept { return exporter_; }
 
  private:
-  std::string next_id(std::string_view prefix);
-
   std::uint64_t counter_ = 0;
   obs::SpanExporter exporter_;
 };

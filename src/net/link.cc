@@ -89,38 +89,15 @@ void Link::on_serialized() {
     // propagation; the parallel engine delivers it there.
     handoff_(std::move(serializing_), prop_delay_);
   } else {
-    push_propagating(std::move(serializing_));
+    propagating_.push(std::move(serializing_));
     sim_.schedule_after(prop_delay_, [this] { on_propagated(); });
   }
   try_transmit();
 }
 
 void Link::on_propagated() {
-  Packet p = pop_propagating();
+  Packet p = propagating_.pop();
   if (sink_) sink_(std::move(p));
-}
-
-void Link::push_propagating(Packet packet) {
-  if (ring_count_ == propagating_.size()) {
-    // Full: unroll into a ring twice the size (a power of two, so
-    // indices wrap with a mask).
-    std::vector<Packet> grown(propagating_.empty() ? 4
-                                                   : 2 * propagating_.size());
-    for (std::size_t i = 0; i < ring_count_; ++i) {
-      grown[i] = std::move(propagating_[(ring_head_ + i) & ring_mask()]);
-    }
-    propagating_ = std::move(grown);
-    ring_head_ = 0;
-  }
-  propagating_[(ring_head_ + ring_count_) & ring_mask()] = std::move(packet);
-  ++ring_count_;
-}
-
-Packet Link::pop_propagating() {
-  Packet p = std::move(propagating_[ring_head_]);
-  ring_head_ = (ring_head_ + 1) & ring_mask();
-  --ring_count_;
-  return p;
 }
 
 }  // namespace meshnet::net

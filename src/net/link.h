@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "net/fifo_ring.h"
 #include "net/packet.h"
 #include "net/qdisc.h"
 #include "sim/random.h"
@@ -92,16 +93,6 @@ class Link {
   void on_serialized();
   void on_propagated();
 
-  // The link's events capture only `this` and find their packet in
-  // serializing_ or in the propagation ring, so they stay inside
-  // sim::InlineTask's buffer. Propagation delay is constant and
-  // serializations complete in order, so packets arrive in push order
-  // and the ring's front is always the next to arrive. A ring, so steady
-  // state reuses its slots.
-  void push_propagating(Packet packet);
-  Packet pop_propagating();
-  std::size_t ring_mask() const noexcept { return propagating_.size() - 1; }
-
   sim::Simulator& sim_;
   std::string name_;
   double rate_bps_;
@@ -110,9 +101,9 @@ class Link {
   std::function<void(Packet)> sink_;
   std::function<void(Packet, sim::Duration)> handoff_;
   Packet serializing_;  ///< valid while transmitting_
-  std::vector<Packet> propagating_;  ///< ring, oldest at ring_head_
-  std::size_t ring_head_ = 0;
-  std::size_t ring_count_ = 0;
+  /// On the wire: the link's events capture only `this` and find their
+  /// packet here (see fifo_ring.h), so they fit sim::InlineTask's buffer.
+  FifoRing<Packet> propagating_;
   bool transmitting_ = false;
   bool up_ = true;
   double loss_probability_ = 0.0;

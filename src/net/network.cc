@@ -81,20 +81,18 @@ void Network::rebuild_routes() {
   next_hop_table_.assign(n * n, 0);
   // Reverse BFS from every destination over the link graph gives the
   // first-hop link toward that destination from each location.
-  std::vector<std::vector<std::uint32_t>> out_links(n);
+  std::vector<std::vector<std::pair<LocationId, std::uint32_t>>> in_links(n);
   for (std::uint32_t i = 0; i < links_.size(); ++i) {
-    out_links[link_endpoints_[i].first].push_back(i);
+    in_links[link_endpoints_[i].second].emplace_back(link_endpoints_[i].first,
+                                                     i);
   }
+  std::vector<int> dist;
+  std::deque<LocationId> frontier;
   for (LocationId dst = 0; dst < n; ++dst) {
-    std::vector<int> dist(n, -1);
+    dist.assign(n, -1);
     dist[dst] = 0;
-    std::deque<LocationId> frontier{dst};
+    frontier.assign({dst});
     // BFS over reversed edges: dist[v] = hops from v to dst.
-    std::vector<std::vector<std::pair<LocationId, std::uint32_t>>> in_links(n);
-    for (std::uint32_t i = 0; i < links_.size(); ++i) {
-      in_links[link_endpoints_[i].second].emplace_back(
-          link_endpoints_[i].first, i);
-    }
     while (!frontier.empty()) {
       const LocationId v = frontier.front();
       frontier.pop_front();
@@ -131,10 +129,8 @@ void Network::send(Packet packet) {
     return;
   }
   if (src->location() == dst->location()) {
-    sim_.schedule_after(loopback_delay_,
-                        [dst, p = std::move(packet)]() mutable {
-                          dst->deliver(std::move(p));
-                        });
+    loopback_.push(LoopbackPacket{dst, std::move(packet)});
+    sim_.schedule_after(loopback_delay_, [this] { on_loopback_delivered(); });
     return;
   }
   Link* hop = next_hop(src->location(), dst->location());
@@ -144,6 +140,11 @@ void Network::send(Packet packet) {
     return;
   }
   hop->send(std::move(packet));
+}
+
+void Network::on_loopback_delivered() {
+  LoopbackPacket next = loopback_.pop();
+  next.dst->deliver(std::move(next.packet));
 }
 
 void Network::on_link_output(const Link* /*link*/, LocationId arrived_at,

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "net/address.h"
+#include "net/fifo_ring.h"
 #include "net/link.h"
 #include "net/packet.h"
 #include "sim/simulator.h"
@@ -84,9 +85,13 @@ class Network {
   /// All links, for stats sweeps.
   std::vector<Link*> links();
 
-  /// Delay applied to same-location (loopback) deliveries.
-  void set_loopback_delay(sim::Duration delay) noexcept {
+  /// Delay applied to same-location (loopback) deliveries. Refused
+  /// (returns false) while loopback packets are in flight: they wait in
+  /// one FIFO, which a changed delay would reorder.
+  bool set_loopback_delay(sim::Duration delay) noexcept {
+    if (!loopback_.empty()) return false;
     loopback_delay_ = delay;
+    return true;
   }
   sim::Duration loopback_delay() const noexcept { return loopback_delay_; }
 
@@ -95,6 +100,7 @@ class Network {
 
  private:
   void on_link_output(const Link* link, LocationId arrived_at, Packet packet);
+  void on_loopback_delivered();
   void rebuild_routes();
   Link* next_hop(LocationId from, LocationId to);
 
@@ -107,6 +113,12 @@ class Network {
   std::vector<std::uint32_t> next_hop_table_;
   bool routes_dirty_ = true;
   sim::Duration loopback_delay_ = sim::microseconds(25);
+  struct LoopbackPacket {
+    const Interface* dst = nullptr;
+    Packet packet;
+  };
+  /// Loopback packets in flight; each has one event capturing only `this`.
+  FifoRing<LoopbackPacket> loopback_;
   std::uint64_t unroutable_ = 0;
 };
 

@@ -103,27 +103,26 @@ void payload_pool_trim() noexcept {
   p.stats.bytes_cached = 0;
 }
 
-Payload Payload::copy_of(std::string_view bytes, std::size_t tail) {
-  Payload out;
-  out.tail_ = static_cast<std::uint32_t>(tail);
-  if (bytes.empty()) return out;
-  Block* block = PayloadPoolAccess::acquire(bytes.size());
-  std::memcpy(block->bytes(), bytes.data(), bytes.size());
-  out.block_ = block;
-  out.data_ = block->bytes();
-  out.real_ = static_cast<std::uint32_t>(bytes.size());
-  return out;
-}
-
-Payload Payload::filled(std::size_t count, char fill) {
+Payload Payload::allocate(std::size_t count) {
   Payload out;
   if (count == 0) return out;
   Block* block = PayloadPoolAccess::acquire(count);
-  std::memset(block->bytes(), fill, count);
   out.block_ = block;
   out.data_ = block->bytes();
   out.real_ = static_cast<std::uint32_t>(count);
   return out;
+}
+
+Payload Payload::copy_of(std::string_view bytes, std::size_t tail) {
+  Payload out = build(bytes.size(), [&](char* out_bytes) {
+    std::memcpy(out_bytes, bytes.data(), bytes.size());
+  });
+  out.tail_ = static_cast<std::uint32_t>(tail);
+  return out;
+}
+
+Payload Payload::filled(std::size_t count, char fill) {
+  return build(count, [&](char* out) { std::memset(out, fill, count); });
 }
 
 std::string Payload::materialize() const {

@@ -60,6 +60,16 @@ class Payload {
   /// Convenience for tests/benches: a block of `count` copies of `fill`.
   static Payload filled(std::size_t count, char fill);
 
+  /// A pooled block of `count` real bytes that `write(char*)` fills in
+  /// place: the one copy for bytes assembled from parts (a TLS record's
+  /// header and body).
+  template <typename Write>
+  static Payload build(std::size_t count, Write&& write) {
+    Payload out = allocate(count);
+    if (out.block_ != nullptr) write(out.block_->bytes());
+    return out;
+  }
+
   Payload(const Payload& other) noexcept
       : block_(other.block_),
         data_(other.data_),
@@ -143,6 +153,8 @@ class Payload {
     char* bytes() noexcept { return reinterpret_cast<char*>(this + 1); }
   };
 
+  /// `count` uninitialized real bytes in a pooled block.
+  static Payload allocate(std::size_t count);
   void release() noexcept;
 
   Block* block_ = nullptr;

@@ -18,16 +18,20 @@ SpanExporter::ServiceCells& SpanExporter::cells_for(
   return cells_.emplace(service, cells).first->second;
 }
 
-void SpanExporter::export_span(SpanRecord span) {
+void SpanExporter::count_span(const std::string& service, bool error,
+                              sim::Duration duration) {
   ++exported_total_;
   if (registry_) {
-    ServiceCells& cells = cells_for(span.service);
+    ServiceCells& cells = cells_for(service);
     cells.total->inc();
-    if (span.error) cells.errors->inc();
-    const sim::Duration duration = span.duration();
+    if (error) cells.errors->inc();
     cells.duration->record(
         duration > 0 ? static_cast<std::uint64_t>(duration) : 0);
   }
+}
+
+void SpanExporter::export_span(SpanRecord span) {
+  count_span(span.service, span.error, span.duration());
   for (const auto& sink : sinks_) sink(span);
   if (retention_ == 0) return;
   spans_.push_back(std::move(span));

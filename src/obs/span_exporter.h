@@ -47,6 +47,17 @@ class SpanExporter {
 
   void export_span(SpanRecord span);
 
+  /// True when exported records are kept or forwarded. When false a
+  /// caller may skip building the record and call count_span instead.
+  bool wants_records() const noexcept {
+    return retention_ != 0 || !sinks_.empty();
+  }
+
+  /// What export_span does for a span no one keeps: counts it and folds
+  /// it into the per-service series.
+  void count_span(const std::string& service, bool error,
+                  sim::Duration duration);
+
   /// Called for every exported span, regardless of retention.
   void add_sink(std::function<void(const SpanRecord&)> sink);
 

@@ -9,23 +9,19 @@ namespace {
 constexpr bool is_space(char c) noexcept {
   return c == ' ' || c == '\t' || c == '\r' || c == '\n';
 }
-
-constexpr char ascii_lower(char c) noexcept {
-  return (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c;
-}
 }  // namespace
 
 bool iequals(std::string_view a, std::string_view b) noexcept {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {
-    if (ascii_lower(a[i]) != ascii_lower(b[i])) return false;
+    if (to_lower_ascii(a[i]) != to_lower_ascii(b[i])) return false;
   }
   return true;
 }
 
 std::string to_lower(std::string_view s) {
   std::string out(s);
-  for (char& c : out) c = ascii_lower(c);
+  for (char& c : out) c = to_lower_ascii(c);
   return out;
 }
 

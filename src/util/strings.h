@@ -15,6 +15,11 @@ namespace meshnet::util {
 /// as "Keep-Alive"). Non-ASCII bytes are compared verbatim.
 bool iequals(std::string_view a, std::string_view b) noexcept;
 
+/// Lowercase of an ASCII letter; any other byte unchanged.
+constexpr char to_lower_ascii(char c) noexcept {
+  return (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c;
+}
+
 /// Lowercases ASCII letters in place and returns the result.
 std::string to_lower(std::string_view s);
 

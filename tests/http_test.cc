@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -9,6 +10,7 @@
 #include "http/header_map.h"
 #include "http/message.h"
 #include "sim/random.h"
+#include "util/strings.h"
 
 namespace meshnet::http {
 namespace {
@@ -24,7 +26,7 @@ TEST(HeaderMap, SetAndGet) {
 TEST(HeaderMap, NamesStoredLowercase) {
   HeaderMap map;
   map.set("X-Request-ID", "abc");
-  EXPECT_EQ(map.entries()[0].first, "x-request-id");
+  EXPECT_EQ(map.name_at(0), "x-request-id");
 }
 
 TEST(HeaderMap, SetReplacesAllValues) {
@@ -66,9 +68,9 @@ TEST(HeaderMap, PreservesInsertionOrder) {
   map.add("c", "3");
   map.add("a", "1");
   map.add("b", "2");
-  EXPECT_EQ(map.entries()[0].first, "c");
-  EXPECT_EQ(map.entries()[1].first, "a");
-  EXPECT_EQ(map.entries()[2].first, "b");
+  EXPECT_EQ(map.name_at(0), "c");
+  EXPECT_EQ(map.name_at(1), "a");
+  EXPECT_EQ(map.name_at(2), "b");
 }
 
 // ---- Interned well-known names ----------------------------------------
@@ -114,7 +116,7 @@ TEST(HeaderIntern, IdAndStringAccessorsAgree) {
   EXPECT_TRUE(map.has(headers::Id::kMeshPriority));
   EXPECT_FALSE(map.has(headers::Id::kRetryAttempt));
 
-  // id_at mirrors entries() order; unknown names intern to kUnknown.
+  // id_at mirrors name_at order; unknown names intern to kUnknown.
   ASSERT_EQ(map.size(), 3u);
   EXPECT_EQ(map.id_at(0), headers::Id::kMeshPriority);
   EXPECT_EQ(map.id_at(1), headers::Id::kHost);
@@ -719,6 +721,249 @@ TEST(CodecFuzz, RandomResponsesRoundTripUnderRandomChunking) {
       EXPECT_EQ(without_content_length(parsed[i].headers),
                 without_content_length(originals[i].headers));
     }
+    if (::testing::Test::HasFatalFailure() ||
+        ::testing::Test::HasNonfatalFailure()) {
+      return;
+    }
+  }
+}
+
+// ---- HeaderMap against a naive reference model --------------------------
+
+// The map's documented behaviour, spelled out on a vector of
+// (lowercase name, value) pairs.
+class ReferenceHeaders {
+ public:
+  void add(std::string_view name, std::string_view value) {
+    entries_.emplace_back(lower(name), std::string(value));
+  }
+  void set(std::string_view name, std::string_view value) {
+    const std::string copy(value);  // `value` may alias a removed entry
+    remove(name);
+    add(name, copy);
+  }
+  std::size_t remove(std::string_view name) {
+    const std::string key = lower(name);
+    return std::erase_if(entries_,
+                         [&](const auto& entry) { return entry.first == key; });
+  }
+  std::optional<std::string> get(std::string_view name) const {
+    const std::string key = lower(name);
+    for (const auto& [entry_name, value] : entries_) {
+      if (entry_name == key) return value;
+    }
+    return std::nullopt;
+  }
+  const std::vector<std::pair<std::string, std::string>>& entries() const {
+    return entries_;
+  }
+
+ private:
+  static std::string lower(std::string_view name) {
+    std::string out(name);
+    for (char& c : out) c = util::to_lower_ascii(c);
+    return out;
+  }
+
+  std::vector<std::pair<std::string, std::string>> entries_;
+};
+
+std::string random_case(std::string_view name, sim::RngStream& rng) {
+  std::string out(name);
+  for (char& c : out) {
+    if (c >= 'a' && c <= 'z' && rng.bernoulli(0.3)) {
+      c = static_cast<char>(c - 'a' + 'A');
+    }
+  }
+  return out;
+}
+
+// A name from a small pool (so operations collide): well-known and
+// unknown names, in random case, and now and then the empty name.
+std::string pooled_header_name(sim::RngStream& rng) {
+  static constexpr std::string_view kNames[] = {
+      headers::kHost,     headers::kRequestId, headers::kTraceId,
+      headers::kSpanId,   headers::kMeshSource, headers::kContentLength,
+      "x-app",            "accept",            "x-served-by",
+      "x-very-long-custom-header-name-that-takes-arena-bytes", ""};
+  return random_case(kNames[rng.uniform_int(0, std::size(kNames) - 1)], rng);
+}
+
+// Values from empty to well past the map's inline arena.
+std::string sized_header_value(sim::RngStream& rng) {
+  switch (rng.uniform_int(0, 3)) {
+    case 0:
+      return "";
+    case 1:
+      return random_header_value(rng);
+    default: {
+      std::string value(rng.uniform_int(1, rng.bernoulli(0.2) ? 600 : 60),
+                        '?');
+      for (char& c : value) c = static_cast<char>(rng.uniform_int(0x21, 0x7e));
+      return value;
+    }
+  }
+}
+
+void expect_same(const HeaderMap& map, const ReferenceHeaders& ref) {
+  ASSERT_EQ(map.size(), ref.entries().size());
+  for (std::size_t i = 0; i < map.size(); ++i) {
+    EXPECT_EQ(map.name_at(i), ref.entries()[i].first) << "entry " << i;
+    EXPECT_EQ(map.value_at(i), ref.entries()[i].second) << "entry " << i;
+    EXPECT_EQ(map.id_at(i), headers::intern(ref.entries()[i].first));
+  }
+}
+
+TEST(HeaderMapProperty, MatchesReferenceModelUnderRandomOperations) {
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    sim::RngStream rng(seed, "header-map-model");
+    HeaderMap map;
+    ReferenceHeaders ref;
+    for (int step = 0; step < 120; ++step) {
+      const std::string name = pooled_header_name(rng);
+      const headers::Id id = headers::intern(name);
+      switch (rng.uniform_int(0, 8)) {
+        case 0:
+        case 1: {
+          const std::string value = sized_header_value(rng);
+          map.add(name, value);
+          ref.add(name, value);
+          break;
+        }
+        case 2: {
+          const std::string value = sized_header_value(rng);
+          if (id != headers::Id::kUnknown && rng.bernoulli(0.5)) {
+            map.set(id, value);
+          } else {
+            map.set(name, value);
+          }
+          ref.set(name, value);
+          break;
+        }
+        case 3:
+          EXPECT_EQ(id != headers::Id::kUnknown && rng.bernoulli(0.5)
+                        ? map.remove(id)
+                        : map.remove(name),
+                    ref.remove(name));
+          break;
+        case 4: {
+          const auto got = map.get(name);
+          const auto want = ref.get(name);
+          ASSERT_EQ(got.has_value(), want.has_value());
+          if (got) {
+            EXPECT_EQ(*got, *want);
+          }
+          if (id != headers::Id::kUnknown) {
+            EXPECT_EQ(map.get(id), got);
+          }
+          EXPECT_EQ(map.get_or(name, "fallback"), want.value_or("fallback"));
+          break;
+        }
+        case 5: {
+          // Self-aliasing: the value is a view into this same map, maybe
+          // of an entry the set() replaces.
+          if (map.empty()) break;
+          const std::size_t i = rng.uniform_int(0, map.size() - 1);
+          const std::string_view value = map.value_at(i);
+          const std::string expected(value);
+          if (id != headers::Id::kUnknown) {
+            map.set(id, value);
+          } else {
+            map.set(name, value);
+          }
+          ref.set(name, expected);
+          break;
+        }
+        case 6: {
+          // set(id, *get(other)) on the same map.
+          const headers::Id other = headers::intern(pooled_header_name(rng));
+          if (id == headers::Id::kUnknown || other == headers::Id::kUnknown) {
+            break;
+          }
+          if (const auto value = map.get(other)) {
+            const std::string expected(*value);
+            map.set(id, *value);
+            ref.set(name, expected);
+          }
+          break;
+        }
+        case 7: {
+          // Copies: construct, assign over a different map, move.
+          HeaderMap copy(map);
+          HeaderMap assigned;
+          assigned.add("x-stale", std::string(300, 's'));
+          assigned = copy;
+          HeaderMap moved(std::move(assigned));
+          map = rng.bernoulli(0.5) ? moved : std::move(copy);
+          break;
+        }
+        default:
+          if (rng.bernoulli(0.1)) {
+            map.clear();
+            ref = ReferenceHeaders{};
+          }
+          break;
+      }
+      expect_same(map, ref);
+      if (::testing::Test::HasFatalFailure() ||
+          ::testing::Test::HasNonfatalFailure()) {
+        return;
+      }
+    }
+  }
+}
+
+// Header sets of any size and name case, including sets past the map's
+// inline capacity, survive serialize -> parse at random split points.
+TEST(CodecFuzz, LargeMixedCaseHeaderSetsRoundTripAtRandomSplits) {
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    sim::RngStream rng(seed, "http-fuzz-large-heads");
+    HttpRequest request;
+    request.path = "/r/" + std::to_string(seed);
+    HttpResponse response;
+    response.status = 200;
+    ReferenceHeaders expected;
+    for (std::uint64_t i = rng.uniform_int(0, 40); i > 0; --i) {
+      std::string name = pooled_header_name(rng);
+      if (name.empty() ||
+          headers::intern(name) == headers::Id::kContentLength) {
+        name = random_case(random_header_name(rng), rng);
+      }
+      // Parsed values are trimmed: generate them without outer spaces.
+      const std::string value =
+          rng.bernoulli(0.5) ? random_header_value(rng)
+                             : std::string(rng.uniform_int(0, 200), 'v');
+      request.headers.add(name, value);
+      response.headers.add(name, value);
+      expected.add(name, value);
+    }
+    ASSERT_NO_FATAL_FAILURE(expect_same(request.headers, expected));
+    const std::string request_wire = serialize_request(request).materialize();
+    const std::string response_wire =
+        serialize_response(response).materialize();
+
+    HttpParser request_parser(ParserKind::kRequest);
+    std::vector<HttpRequest> requests;
+    request_parser.set_on_request(
+        [&](HttpRequest r) { requests.push_back(std::move(r)); });
+    feed_in_random_chunks(request_parser, request_wire + request_wire, rng);
+    HttpParser response_parser(ParserKind::kResponse);
+    std::vector<HttpResponse> responses;
+    response_parser.set_on_response(
+        [&](HttpResponse r) { responses.push_back(std::move(r)); });
+    feed_in_random_chunks(response_parser, response_wire, rng);
+
+    ASSERT_EQ(requests.size(), 2u);
+    ASSERT_EQ(responses.size(), 1u);
+    for (const HttpRequest& parsed : requests) {
+      EXPECT_EQ(parsed.path, request.path);
+      EXPECT_EQ(without_content_length(parsed.headers),
+                without_content_length(request.headers));
+    }
+    EXPECT_EQ(without_content_length(responses[0].headers),
+              without_content_length(response.headers));
     if (::testing::Test::HasFatalFailure() ||
         ::testing::Test::HasNonfatalFailure()) {
       return;

@@ -25,44 +25,63 @@ namespace {
 
 // ---------------------------------------------------------- tracing --
 
+/// Opens a span under `headers` and returns its record, finished at `end`.
+Span traced(Tracer& tracer, http::HeaderMap& headers, std::string operation,
+            sim::Time start) {
+  Span span = Tracer::record_of(tracer.open_span(headers, start));
+  span.service = "s";
+  span.operation = std::move(operation);
+  return span;
+}
+
 TEST(Tracing, RootSpanGetsFreshTraceId) {
   Tracer tracer;
-  const Span span = tracer.start_span("svc", "op", TraceContext{}, 100);
+  http::HeaderMap headers;
+  const Span span = traced(tracer, headers, "op", 100);
   EXPECT_FALSE(span.trace_id.empty());
   EXPECT_TRUE(span.parent_span_id.empty());
   EXPECT_EQ(span.start, 100);
+  // The child context went into the headers, with no parent id.
+  EXPECT_EQ(headers.get_or(http::headers::kTraceId, ""), span.trace_id);
+  EXPECT_EQ(headers.get_or(http::headers::kSpanId, ""), span.span_id);
+  EXPECT_FALSE(headers.has(http::headers::kParentSpanId));
 }
 
 TEST(Tracing, ChildInheritsTraceId) {
   Tracer tracer;
-  const Span parent = tracer.start_span("a", "op", TraceContext{}, 0);
-  TraceContext ctx{parent.trace_id, parent.span_id};
-  const Span child = tracer.start_span("b", "op", ctx, 1);
+  http::HeaderMap headers;
+  const Span parent = traced(tracer, headers, "op", 0);
+  const Span child = traced(tracer, headers, "op", 1);
   EXPECT_EQ(child.trace_id, parent.trace_id);
   EXPECT_EQ(child.parent_span_id, parent.span_id);
   EXPECT_NE(child.span_id, parent.span_id);
+  EXPECT_EQ(headers.get_or(http::headers::kParentSpanId, ""), parent.span_id);
 }
 
+// Ids minted elsewhere, in any form, propagate verbatim.
 TEST(Tracing, ContextHeaderRoundTrip) {
-  TraceContext ctx{"trace-1", "span-9"};
+  Tracer tracer;
   http::HeaderMap headers;
-  ctx.inject(headers, "span-8");
-  const TraceContext out = TraceContext::extract(headers);
-  EXPECT_EQ(out.trace_id, "trace-1");
-  EXPECT_EQ(out.span_id, "span-9");
-  EXPECT_EQ(headers.get_or(http::headers::kParentSpanId, ""), "span-8");
+  headers.set(http::headers::kTraceId, "trace-1");
+  headers.set(http::headers::kSpanId, "span-9");
+  const Span span = traced(tracer, headers, "op", 0);
+  EXPECT_EQ(span.trace_id, "trace-1");
+  EXPECT_EQ(span.parent_span_id, "span-9");
+  EXPECT_EQ(headers.get_or(http::headers::kTraceId, ""), "trace-1");
+  EXPECT_EQ(headers.get_or(http::headers::kSpanId, ""), span.span_id);
+  EXPECT_EQ(headers.get_or(http::headers::kParentSpanId, ""), "span-9");
 }
 
 TEST(Tracing, FinishRecordsAndFiltersByTrace) {
   Tracer tracer;
-  Span a = tracer.start_span("s", "op-a", TraceContext{}, 0);
+  http::HeaderMap headers;
+  Span a = traced(tracer, headers, "op-a", 0);
   const std::string trace_id = a.trace_id;
-  Span b = tracer.start_span("s", "op-b",
-                             TraceContext{a.trace_id, a.span_id}, 5);
+  Span b = traced(tracer, headers, "op-b", 5);
   tracer.finish_span(std::move(b), 10);
   tracer.finish_span(std::move(a), 20);
-  Span other = tracer.start_span("s", "op-c", TraceContext{}, 0);
-  tracer.finish_span(std::move(other), 1);
+  http::HeaderMap unrelated;
+  tracer.finish_span(traced(tracer, unrelated, "op-c", 0), 1);
   EXPECT_EQ(tracer.span_count(), 3u);
   const auto spans = tracer.trace(trace_id);
   ASSERT_EQ(spans.size(), 2u);
@@ -74,11 +93,13 @@ TEST(Tracing, RetentionBoundsMemory) {
   Tracer tracer;
   tracer.set_retention(10);
   for (int i = 0; i < 50; ++i) {
-    tracer.finish_span(tracer.start_span("s", "op", TraceContext{}, i), i);
+    http::HeaderMap headers;
+    tracer.finish_span(traced(tracer, headers, "op", i), i);
   }
   EXPECT_EQ(tracer.span_count(), 10u);
   tracer.set_retention(0);
-  tracer.finish_span(tracer.start_span("s", "op", TraceContext{}, 0), 0);
+  http::HeaderMap headers;
+  tracer.finish_span(traced(tracer, headers, "op", 0), 0);
   EXPECT_EQ(tracer.span_count(), 10u);  // collection disabled
 }
 
@@ -555,6 +576,25 @@ TEST_F(MeshFixture, MtlsRequestSucceedsAndChargesCrypto) {
       control_plane_->metrics().find_counter("tls_records_encrypted_total");
   ASSERT_NE(enc, nullptr);
   EXPECT_GE(enc->value(), 2u);
+}
+
+// The per-request continuations (the proxy-delay wait, the per-try
+// timer, the app's compute wait, loopback hops, TLS record waits) capture
+// a context pointer, never a request, so a warm proxied mTLS request
+// schedules no heap-allocated task.
+TEST_F(MeshFixture, ProxiedMtlsRequestSchedulesNoHeapTasks) {
+  MeshPolicies policies;
+  policies.tls.enabled = true;
+  policies.retry.per_try_timeout = sim::seconds(5);
+  build(1, policies);
+  ASSERT_EQ(get("server", "/warm")->status, 200);  // handshake, pools
+  const std::uint64_t before = sim_.loop_stats().task_heap_allocs;
+  const std::uint64_t executed = sim_.loop_stats().executed;
+  const auto response = get("server", "/secure");
+  ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(response->status, 200);
+  EXPECT_GT(sim_.loop_stats().executed, executed);
+  EXPECT_EQ(sim_.loop_stats().task_heap_allocs - before, 0u);
 }
 
 TEST_F(MeshFixture, HandshakeFailureClosesClientSpanAsError) {

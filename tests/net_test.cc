@@ -537,6 +537,39 @@ TEST_F(NetworkTest, LoopbackForSameLocation) {
   EXPECT_EQ(arrival, sim::microseconds(3));
 }
 
+// Loopback packets wait in the network's FIFO ring; their events capture
+// only the network, so delivery makes no heap task and keeps send order.
+// The delay cannot change under packets in flight.
+TEST(Network, LoopbackSchedulesNoHeapTasks) {
+  sim::Simulator sim;
+  Network net{sim};
+  const auto a = net.add_location("a");
+  net.attach_interface(make_ip(10, 0, 0, 1), a);
+  Interface& dst = net.attach_interface(make_ip(10, 0, 0, 2), a);
+  std::vector<std::uint64_t> order;
+  std::vector<sim::Time> arrivals;
+  dst.set_handler([&](Packet p) {
+    order.push_back(p.seq);
+    arrivals.push_back(sim.now());
+  });
+  for (std::uint64_t i = 0; i < 200; ++i) {
+    Packet p = make_packet(100);
+    p.seq = i;
+    net.send(std::move(p));
+    if (i % 50 == 49) sim.run_until(sim.now() + sim::microseconds(10));
+  }
+  EXPECT_FALSE(net.set_loopback_delay(sim::microseconds(1)));
+  EXPECT_EQ(net.loopback_delay(), sim::microseconds(25));
+  sim.run();
+  EXPECT_EQ(sim.loop_stats().task_heap_allocs, 0u);
+  ASSERT_EQ(order.size(), 200u);
+  for (std::uint64_t i = 0; i < 200; ++i) EXPECT_EQ(order[i], i);
+  EXPECT_EQ(arrivals.front(), sim::microseconds(25));
+  EXPECT_EQ(arrivals.back(), sim::microseconds(55));
+  EXPECT_TRUE(net.set_loopback_delay(sim::microseconds(1)));
+  EXPECT_EQ(net.loopback_delay(), sim::microseconds(1));
+}
+
 TEST_F(NetworkTest, UnroutableCountsAndDrops) {
   const auto a = net.add_location("a");
   net.attach_interface(make_ip(10, 0, 0, 1), a);

@@ -25,13 +25,14 @@ using State = TlsChannel::State;
 // ------------------------------------------------------- record codec --
 
 TEST(TlsCodec, RecordRoundTrip) {
-  const std::string wire = encode_tls_record(TlsRecordType::kAppData, "hello");
+  const net::Payload wire =
+      encode_tls_record(TlsRecordType::kAppData, "hello");
   TlsRecordParser parser(16 * 1024);
   std::vector<std::pair<TlsRecordType, std::string>> records;
   parser.set_on_record([&](TlsRecordType type, std::string_view body) {
     records.emplace_back(type, std::string(body));
   });
-  EXPECT_TRUE(parser.feed(wire));
+  EXPECT_TRUE(parser.feed(wire.view()));
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].first, TlsRecordType::kAppData);
   EXPECT_EQ(records[0].second, "hello");
@@ -39,21 +40,60 @@ TEST(TlsCodec, RecordRoundTrip) {
 
 TEST(TlsCodec, UnknownTypeIsStickyError) {
   TlsRecordParser parser(16 * 1024);
-  std::string bad = encode_tls_record(TlsRecordType::kAppData, "x");
+  std::string bad =
+      encode_tls_record(TlsRecordType::kAppData, "x").materialize();
   bad[0] = 0x42;  // not a known content type
   EXPECT_FALSE(parser.feed(bad));
   EXPECT_TRUE(parser.has_error());
   // Sticky: valid bytes after the error still fail.
-  EXPECT_FALSE(parser.feed(encode_tls_record(TlsRecordType::kAppData, "y")));
+  EXPECT_FALSE(parser.feed(
+      encode_tls_record(TlsRecordType::kAppData, "y").view()));
   parser.reset();
-  EXPECT_TRUE(parser.feed(encode_tls_record(TlsRecordType::kAppData, "y")));
+  EXPECT_TRUE(parser.feed(
+      encode_tls_record(TlsRecordType::kAppData, "y").view()));
 }
 
 TEST(TlsCodec, OversizedRecordIsError) {
   TlsRecordParser parser(/*max_body_bytes=*/8);
   EXPECT_FALSE(
-      parser.feed(encode_tls_record(TlsRecordType::kAppData, "123456789")));
+      parser.feed(encode_tls_record(TlsRecordType::kAppData, "123456789")
+                      .view()));
   EXPECT_EQ(parser.error(), "oversized record");
+}
+
+// Records parse the same whether a chunk holds whole records (delivered
+// in place) or splits them anywhere (the split record is buffered),
+// including inside the 4-byte header.
+TEST(TlsCodec, RecordsParseAlikeUnderAnySplit) {
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    sim::RngStream rng(seed, "tls-record-splits");
+    std::vector<std::pair<TlsRecordType, std::string>> sent;
+    std::string wire;
+    for (std::uint64_t i = rng.uniform_int(1, 8); i > 0; --i) {
+      const TlsRecordType type = rng.bernoulli(0.5) ? TlsRecordType::kAppData
+                                                    : TlsRecordType::kAlert;
+      std::string body(rng.uniform_int(0, 3000), '?');
+      for (char& c : body) c = static_cast<char>(rng.uniform_int(0, 255));
+      const std::size_t tail = rng.bernoulli(0.3) ? rng.uniform_int(1, 500) : 0;
+      wire += encode_tls_record(type, body, tail).view();
+      sent.emplace_back(type, body + std::string(tail, 'x'));
+    }
+    TlsRecordParser parser(16 * 1024);
+    std::vector<std::pair<TlsRecordType, std::string>> received;
+    parser.set_on_record([&](TlsRecordType type, std::string_view body) {
+      received.emplace_back(type, std::string(body));
+    });
+    std::size_t offset = 0;
+    while (offset < wire.size()) {
+      const std::size_t chunk = rng.bernoulli(0.3) ? rng.uniform_int(1, 5)
+                                                   : rng.uniform_int(1, 4000);
+      const std::size_t n = std::min(wire.size() - offset, chunk);
+      ASSERT_TRUE(parser.feed(std::string_view(wire).substr(offset, n)));
+      offset += n;
+    }
+    EXPECT_EQ(received, sent);
+  }
 }
 
 TEST(TlsCodec, HellosAndTicketsRoundTrip) {
@@ -115,9 +155,9 @@ struct ChannelPair {
                                           server_params, server_cert,
                                           server_rt, "");
     client->set_send_wire(
-        [this](std::string bytes) { deliver(server, &to_server_, bytes); });
+        [this](net::Payload bytes) { deliver(server, &to_server_, bytes); });
     server->set_send_wire(
-        [this](std::string bytes) { deliver(client, &to_client_, bytes); });
+        [this](net::Payload bytes) { deliver(client, &to_client_, bytes); });
   }
 
   void start() {
@@ -128,7 +168,8 @@ struct ChannelPair {
   /// Streams `bytes` to `dst` in random chunks with random (order-
   /// preserving) delays when an RNG is wired; immediately otherwise.
   void deliver(std::shared_ptr<TlsChannel> dst, sim::Time* clock,
-               const std::string& bytes) {
+               const net::Payload& payload) {
+    const std::string bytes(payload.view());
     std::size_t offset = 0;
     while (offset < bytes.size()) {
       std::size_t n = bytes.size() - offset;
@@ -323,7 +364,7 @@ TEST(TlsHandshake, TimeoutFailsCleanlyWithoutPeer) {
   TlsRuntime rt(nullptr, 16);
   auto client = std::make_shared<TlsChannel>(
       sim, TlsChannel::Role::kClient, &params, &cert, &rt, "peer:1");
-  client->set_send_wire([](std::string) {});  // wire goes nowhere
+  client->set_send_wire([](net::Payload) {});  // wire goes nowhere
   std::string error;
   client->set_on_error([&](const std::string& reason) { error = reason; });
   client->start();
@@ -467,7 +508,7 @@ TEST(TlsCodecFuzz, MalformedHandshakeStreamsFailCleanlyNeverHang) {
     TlsRuntime rt(nullptr, 16);
     auto server = std::make_shared<TlsChannel>(
         sim, TlsChannel::Role::kServer, &params, &good, &rt, "");
-    server->set_send_wire([](std::string) {});
+    server->set_send_wire([](net::Payload) {});
     server->set_on_plaintext([](std::string_view) {});
     server->start();
 
@@ -497,22 +538,22 @@ TEST(TlsCodecFuzz, MalformedHandshakeStreamsFailCleanlyNeverHang) {
             hello.ticket = std::string(rng.uniform_int(1, 40), 'x');
           }
           wire += encode_tls_record(TlsRecordType::kClientHello,
-                                    encode_client_hello(hello));
+                                    encode_client_hello(hello)).view();
           break;
         }
         case 1:  // truncated ClientHello body
           wire += encode_tls_record(
               TlsRecordType::kClientHello,
-              std::string(rng.uniform_int(0, 17), '\x01'));
+              std::string(rng.uniform_int(0, 17), '\x01')).view();
           break;
         case 2:  // Finished out of nowhere
-          wire += encode_tls_record(TlsRecordType::kFinished, {});
+          wire += encode_tls_record(TlsRecordType::kFinished, {}).view();
           break;
         case 3:  // app data before the handshake
-          wire += encode_tls_record(TlsRecordType::kAppData, "sneaky");
+          wire += encode_tls_record(TlsRecordType::kAppData, "sneaky").view();
           break;
         case 4:  // alert
-          wire += encode_tls_record(TlsRecordType::kAlert, "boom");
+          wire += encode_tls_record(TlsRecordType::kAlert, "boom").view();
           break;
         case 5: {  // raw noise (usually an unknown record type)
           std::string noise(rng.uniform_int(1, 64), '\0');
